@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
 import repro.docs.{DocLake, Naming, Setting}
 import repro.fn.{Extractor, Synthesizer}
 import repro.llm.{Profile, SimLM}
@@ -39,10 +38,6 @@ final case class CodeConfig(
   * is *fixed* in the number of documents, the paper's headline property.
   */
 object EvaporateCode {
-
-  private val tupleSchema = StructType(Seq(
-    StructField("doc_id", StringType), StructField("attr", StringType),
-    StructField("value", StringType)))
 
   /** @param givenSchema when set (ClosedIE), skip schema synthesis and
     *                    extract exactly these attributes
@@ -141,9 +136,7 @@ object EvaporateCode {
       }.toSet
 
     val finalTuples = predictions.filter { case (_, a, _) => validAttrs.contains(a) }
-    val table = spark.createDataFrame(
-      spark.sparkContext.parallelize(finalTuples.map { case (d, a, v) => Row(d, a, v) }, 4),
-      tupleSchema)
+    val table = StructuredView.tuplesDf(spark, finalTuples)
 
     val breakdown = Map(
       "schema" -> schemaTokens, "synthesis" -> synthTokens,

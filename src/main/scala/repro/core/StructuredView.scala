@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{StringType, StructField, StructType}
 
 /** Output of an Evaporate run: the materialized structured view.
   *
@@ -18,3 +19,17 @@ final case class StructuredView(
     tokens: Long,
     tokenBreakdown: Map[String, Long],
 )
+
+object StructuredView {
+
+  /** The tuple schema of every view's `table` and of the gold tables. */
+  private val tupleSchema: StructType = StructType(Seq(
+    StructField("doc_id", StringType), StructField("attr", StringType),
+    StructField("value", StringType)))
+
+  /** A driver-side tuple list as a `tupleSchema` DataFrame. */
+  def tuplesDf(spark: SparkSession, tuples: Seq[(String, String, String)]): DataFrame =
+    spark.createDataFrame(
+      spark.sparkContext.parallelize(tuples.map { case (d, a, v) => Row(d, a, v) }, 4),
+      tupleSchema)
+}

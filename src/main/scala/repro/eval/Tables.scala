@@ -1,8 +1,7 @@
 package repro.eval
 
 import scala.collection.mutable
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{CodeConfig, EvaporateCode, StructuredView}
 import repro.baselines.{DomBaselines, QaSpanBaseline}
 import repro.docs.{Corpora, DocGen, Setting}
@@ -36,14 +35,8 @@ object Tables {
       lakeCache.getOrElseUpdate((setting.name, n), Harness.lake(spark, setting, n, Seed))
     }
 
-  private val tupleSchema = StructType(Seq(
-    StructField("doc_id", StringType), StructField("attr", StringType),
-    StructField("value", StringType)))
-
   def tuplesDf(spark: SparkSession, tuples: Seq[(String, String, String)]): DataFrame =
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(tuples.map { case (d, a, v) => Row(d, a, v) }, 4),
-      tupleSchema)
+    StructuredView.tuplesDf(spark, tuples)
 
   private def byGroup(perSetting: Seq[(Setting, Double)]): Map[String, Double] =
     perSetting.groupBy(_._1.group).map { case (g, vs) =>

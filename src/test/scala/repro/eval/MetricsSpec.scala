@@ -1,7 +1,12 @@
 package repro.eval
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 import repro.{Oracle, SparkSpec}
+import repro.core.StructuredView
+import repro.docs.Naming
 
 class MetricsSpec extends SparkSpec {
 
@@ -45,10 +50,7 @@ class MetricsSpec extends SparkSpec {
 
   // ---------------------------------------------------------------- Pair F1
 
-  private def df(rows: Seq[(String, String, String)]) = {
-    import spark.implicits._
-    rows.toDF("doc_id", "attr", "value")
-  }
+  private def df(rows: Seq[(String, String, String)]) = StructuredView.tuplesDf(spark, rows)
 
   test("pairF1 perfect prediction") {
     val g = df(Seq(("d1", "a", "x"), ("d2", "a", "y")))
@@ -89,18 +91,33 @@ class MetricsSpec extends SparkSpec {
     assert(r.precision == 0.0 && r.recall == 0.0 && r.f1 == 0.0)
   }
 
+  // DuckDB's own spelling of Naming.normalize, for the oracle queries.
+  private def duckNorm(c: String) = s"trim(regexp_replace(lower($c), '[^a-z0-9]+', ' ', 'g'))"
+
+  // Attribute variants, multi-line values, duplicates and empty/null values.
+  private val oracleGold = Seq(("d1", "Product Code", "K1\n 2"), ("d1", "b", "y"),
+    ("d2", "a", "z"), ("d2", "c", "w"), ("d2", "c", "w2"), ("d2", "c", null), ("d3", "a", null),
+    ("d3", "b", ""))
+  private val oraclePred = Seq(("d1", "product-code", "K1 2"), ("d1", "B", "n"),
+    ("d2", "a", " z "), ("d2", "a", "z"), ("d2", "c", "w"), ("d4", "a", "x"), ("d3", "b", ""),
+    ("d3", "a", null))
+
   test("oracle: pair-match counting agrees with DuckDB") {
-    val gold = df(Seq(("d1", "a", "x"), ("d1", "b", "y"), ("d2", "a", "z"), ("d2", "c", "w")))
-    val pred = df(Seq(("d1", "a", "x"), ("d1", "b", "n"), ("d2", "a", "z"), ("d4", "a", "x")))
-    val matches = pred.distinct().join(gold.distinct(), Seq("doc_id", "attr", "value"))
-      .agg(count(lit(1)) as "matches")
+    val pred = df(oraclePred)
+    val gold = df(oracleGold)
+    val r    = pairF1(pred, gold)
+    val got  = spark.range(1).select(lit(r.precision) as "pair_p", lit(r.recall) as "pair_r")
+    def canon(t: String) =
+      s"""SELECT DISTINCT * FROM (
+         |  SELECT doc_id, ${duckNorm("attr")} AS attr,
+         |         trim(regexp_replace(value, '\\s+', ' ', 'g')) AS value FROM $t)
+         |WHERE value <> ''""".stripMargin
     Oracle.assertEquivalent(
-      matches,
-      """SELECT COUNT(*) AS matches FROM (
-        |  SELECT DISTINCT p.doc_id, p.attr, p.value
-        |  FROM pred p JOIN gold g
-        |    ON p.doc_id = g.doc_id AND p.attr = g.attr AND p.value = g.value
-        |)""".stripMargin,
+      got,
+      s"""WITH p AS (${canon("pred")}), g AS (${canon("gold")}),
+         |     m AS (SELECT count(*) AS n FROM p JOIN g USING (doc_id, attr, value))
+         |SELECT (SELECT n FROM m)::DOUBLE / (SELECT count(*) FROM p) AS pair_p,
+         |       (SELECT n FROM m)::DOUBLE / (SELECT count(*) FROM g) AS pair_r""".stripMargin,
       "pred" -> pred, "gold" -> gold)
   }
 
@@ -126,6 +143,113 @@ class MetricsSpec extends SparkSpec {
 
   test("closedTextF1 on empty inputs is 0") {
     assert(closedTextF1(spark, df(Nil), df(Nil)) == 0.0)
+  }
+
+  test("oracle: closedTextF1 scores one pairing per row of DuckDB's full outer join") {
+    val pred  = df(oraclePred)
+    val gold  = df(oracleGold)
+    val slots = closedScoreCounts(pred, gold).map(_._2).sum
+    Oracle.assertEquivalent(
+      spark.range(1).select(lit(slots) as "slots"),
+      s"""SELECT count(*) AS slots
+         |FROM (SELECT doc_id, ${duckNorm("attr")} AS attr FROM gold) g
+         |FULL OUTER JOIN (SELECT doc_id, ${duckNorm("attr")} AS attr FROM pred WHERE value <> '') p
+         |  ON g.doc_id = p.doc_id AND g.attr = p.attr""".stripMargin,
+      "pred" -> pred, "gold" -> gold)
+  }
+
+  // ------------------------------------------ reference implementations
+
+  private type Tuple = (String, String, String)
+
+  /** Pair F1 of Appendix A over plain Scala sets, with the value
+    * canonicalisation `pairF1` documents.
+    */
+  private def refPairF1(pred: Seq[Tuple], gold: Seq[Tuple]): Prf = {
+    def canon(ts: Seq[Tuple]): Set[Tuple] = ts.collect {
+      case (d, a, v) if v != null && v.replaceAll("\\s+", " ").trim.nonEmpty =>
+        (d, Naming.normalize(a), v.replaceAll("\\s+", " ").trim)
+    }.toSet
+    val p = canon(pred)
+    val g = canon(gold)
+    val m = p.intersect(g).size
+    val pr = if (p.isEmpty) 0.0 else m.toDouble / p.size
+    val rc = if (g.isEmpty) 0.0 else m.toDouble / g.size
+    Prf(pr, rc, if (pr + rc == 0) 0.0 else 2 * pr * rc / (pr + rc))
+  }
+
+  /** ClosedIE Text F1 of Appendix A: every pairing of a slot's predicted and
+    * gold values is scored, and a side with no values reads as "".
+    */
+  private def refClosedTextF1(pred: Seq[Tuple], gold: Seq[Tuple]): Double = {
+    def slots(ts: Seq[Tuple]) = ts.groupMap(t => (t._1, Naming.normalize(t._2)))(_._3)
+    val p = slots(pred.filter(t => t._3 != null && t._3.nonEmpty))
+    val g = slots(gold.map(t => t.copy(_3 = Option(t._3).getOrElse(""))))
+    val scores = (p.keySet ++ g.keySet).toSeq.flatMap { k =>
+      for (pv <- p.getOrElse(k, Seq("")); gv <- g.getOrElse(k, Seq(""))) yield textF1(pv, gv)
+    }
+    if (scores.isEmpty) 0.0 else scores.sum / scores.size
+  }
+
+  // Few documents and attribute spellings, so that duplicates, attribute
+  // variants that normalise alike and multi-valued slots are common.
+  private val tupleGen: Gen[Tuple] = for {
+    d <- Gen.oneOf("d1", "d2", "d3")
+    a <- Gen.oneOf("Product Code", "product code", "PRODUCT-CODE", "product_code:",
+                   "Device", "device!", "Applicant Name")
+    v <- Gen.oneOf("K123", "k123", "K1\n23", "  K123 ", "the device", "Device\tName  X",
+                   "x y", "y x", "", "   ", null)
+  } yield (d, a, v)
+
+  private val tablesGen: Gen[(Seq[Tuple], Seq[Tuple])] = for {
+    gold  <- Gen.choose(0, 10).flatMap(Gen.listOfN(_, tupleGen))
+    extra <- Gen.choose(0, 10).flatMap(Gen.listOfN(_, tupleGen))
+    kept  <- Gen.someOf(gold)
+  } yield (gold, (kept ++ extra).toSeq)
+
+  test("property: pairF1 and closedTextF1 match the Appendix A reference definitions") {
+    (0 until 25).flatMap(i => tablesGen.apply(Gen.Parameters.default, Seed(i.toLong))).foreach {
+      case (gold, pred) =>
+        val (p, g) = (df(pred), df(gold))
+        val ctx = s"pred=$pred gold=$gold"
+        assert(pairF1(p, g) == refPairF1(pred, gold), ctx)
+        assert(math.abs(closedTextF1(spark, p, g) - refClosedTextF1(pred, gold)) < 1e-9, ctx)
+    }
+  }
+
+  test("textF1Fraction is textF1 as an exact fraction") {
+    val values = Seq("", null, "x", "x x", "the x y", "X, Y!", "y z w", "a")
+    for (p <- values; g <- values) {
+      val (num, den) = textF1Fraction(p, g)
+      assert(math.abs(num.toDouble / den - textF1(p, g)) < 1e-12, s"pred=$p gold=$g")
+    }
+  }
+
+  private def withConf[T](settings: (String, String)*)(body: => T): T = {
+    val saved = settings.map { case (k, _) => k -> spark.conf.getOption(k) }
+    settings.foreach { case (k, v) => spark.conf.set(k, v) }
+    try body
+    finally saved.foreach {
+      case (k, Some(v)) => spark.conf.set(k, v)
+      case (k, None)    => spark.conf.unset(k)
+    }
+  }
+
+  test("metrics do not depend on shuffle partitions or input partitioning") {
+    val words = Gen.listOfN(3, Gen.oneOf("alpha", "beta", "gamma", "x", "the"))
+    val tuple = for {
+      d <- Gen.choose(0, 39); a <- Gen.oneOf("a", "b", "c"); n <- Gen.choose(1, 3); ws <- words
+    } yield (s"d$d", a, ws.take(n).mkString(" "))
+    def table(seed: Long) = Gen.listOfN(300, tuple).apply(Gen.Parameters.default, Seed(seed)).get
+    val (predRows, goldRows) = (table(1), table(2))
+    def scores(p: DataFrame, g: DataFrame) = (pairF1(p, g), closedTextF1(spark, p, g))
+    def at(partitions: Int) = withConf("spark.sql.shuffle.partitions" -> partitions.toString,
+        "spark.sql.adaptive.coalescePartitions.enabled" -> "false") {
+      scores(df(predRows), df(goldRows))
+    }
+    val reference = at(64)
+    assert(at(1) == reference)
+    assert(scores(df(predRows).repartition(7), df(goldRows).repartition(3)) == reference)
   }
 
   // ----------------------------------------------------------------- F1@k
