@@ -11,8 +11,8 @@ import repro.llm.{LmPair, Profile, SimLM}
   * ranked by frequency, and the table is reported at the top-k attributes.
   *
   * Token cost is returned per-document through the UDF output column and
-  * summed — it grows linearly with the lake, which is the cost pathology
-  * Evaporate-Code exists to fix.
+  * summed (0 over an empty lake) — it grows linearly with the lake, which is
+  * the cost pathology Evaporate-Code exists to fix.
   */
 object EvaporateDirect {
 
@@ -32,7 +32,7 @@ object EvaporateDirect {
       .select(col("doc_id"), extractUdf(col("doc_id"), col("text")) as "out")
       .cache()
 
-    val tokens = extracted.agg(sum(col("out.tokens"))).collect()(0).getLong(0)
+    val tokens = extracted.agg(coalesce(sum(col("out.tokens")), lit(0L))).collect()(0).getLong(0)
 
     val normAttr = udf((s: String) => Naming.normalize(s))
     val tuples = extracted
@@ -72,7 +72,7 @@ object EvaporateDirect {
     val extracted = docs
       .select(col("doc_id"), extractUdf(col("doc_id"), col("text")) as "out")
       .cache()
-    val tokens = extracted.agg(sum(col("out.tokens"))).collect()(0).getLong(0)
+    val tokens = extracted.agg(coalesce(sum(col("out.tokens")), lit(0L))).collect()(0).getLong(0)
 
     val normAttr = udf((s: String) => Naming.normalize(s))
     val table = extracted

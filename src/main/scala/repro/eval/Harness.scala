@@ -1,5 +1,6 @@
 package repro.eval
 
+import scala.collection.mutable
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{CodeConfig, EvaporateCode, EvaporateDirect, SchemaSynthesis, StructuredView}
@@ -7,19 +8,26 @@ import repro.docs.{DocGen, DocLake, Setting}
 import repro.llm.{Profile, SimLM}
 import repro.util.CostModel
 
-/** Shared experiment harness: builds (and caches) the synthetic lakes, runs
+/** Shared experiment harness: builds (and memoises) the synthetic lakes, runs
   * each system, and computes the paper's metrics. Every bench suite and job
   * goes through these entry points so tables are produced consistently.
   */
 object Harness {
 
-  /** Documents + gold tuples for a setting, cached for repeated passes. */
-  def lake(spark: SparkSession, setting: Setting, nDocs: Int, seed: Long): (DataFrame, DataFrame) = {
-    val docs = DocLake.documents(spark, setting, nDocs, seed).cache()
-    val gold = DocLake.gold(spark, setting, nDocs, seed).cache()
-    docs.count(); gold.count()
-    (docs, gold)
-  }
+  private val lakes = mutable.Map.empty[(String, Int, Long), (DataFrame, DataFrame)]
+
+  /** Documents + gold tuples for a setting, cached, and built once per
+    * `(setting, nDocs, seed)` in a JVM: every table and test reuses them.
+    */
+  def lake(spark: SparkSession, setting: Setting, nDocs: Int, seed: Long): (DataFrame, DataFrame) =
+    synchronized {
+      lakes.getOrElseUpdate((setting.name, nDocs, seed), {
+        val docs = DocLake.documents(spark, setting, nDocs, seed).cache()
+        val gold = DocLake.gold(spark, setting, nDocs, seed).cache()
+        docs.count(); gold.count()
+        (docs, gold)
+      })
+    }
 
   /** The paper evaluates Direct on a 10-document sample for cost reasons
     * and reports Code+ on the same sample (Table 3 caption). These helpers
@@ -80,28 +88,14 @@ object Harness {
   // ---------------------------------------------------------------- cost --
 
   /** Per-10k-document token cost for a Direct run measured over
-    * `measuredDocs` documents (all tokens are per-document).
+    * `measuredDocs` documents (all tokens are per-document). A Code(+) run's
+    * tokens are fixed in the lake size, so its per-10k cost is `view.tokens`.
     */
   def directTokensPer10k(view: StructuredView, measuredDocs: Int): Long =
     CostModel.per10kDocs(0L, view.tokens, measuredDocs.toLong)
 
-  /** Per-10k-document token cost for a Code(+) run: all LLM tokens are
-    * fixed with respect to the lake size.
-    */
-  def codeTokensPer10k(view: StructuredView): Long = view.tokens
-
   // ------------------------------------------------------------- display --
 
-  /** Group-average a per-setting metric the way the paper's tables do
-    * (SWDE Movie / University rows are averages over their sites).
-    */
-  def groupAverage(perSetting: Seq[(Setting, Double)]): Seq[(String, Double)] = {
-    val byGroup = perSetting.groupBy(_._1.group)
-    repro.docs.Corpora.groups.map(_._1).filter(byGroup.contains).map { g =>
-      val vs = byGroup(g).map(_._2)
-      g -> vs.sum / vs.size
-    }
-  }
-
+  /** A fraction as a percentage rounded to one decimal. */
   def pct(x: Double): Double = math.round(x * 1000.0) / 10.0
 }

@@ -1,6 +1,5 @@
 package repro.eval
 
-import scala.collection.mutable
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{CodeConfig, EvaporateCode, StructuredView}
 import repro.baselines.{DomBaselines, QaSpanBaseline}
@@ -9,6 +8,7 @@ import repro.fn.Synthesizer
 import repro.llm.Profile
 import repro.util.CostModel
 import repro.ws.Aggregation
+import Harness.pct
 
 /** One entry point per paper table. Jobs (`jobs/TableNJob`) and benches
   * (`bench/.../TableNBench`) both call these, so the printed numbers are
@@ -27,23 +27,49 @@ object Tables {
   val TrainDocs: Int  = 30
   val EvalSample: Int = 10
 
-  // Lakes are cached across tables within one JVM (bench suites share it).
-  private val lakeCache = mutable.Map.empty[(String, Int), (DataFrame, DataFrame)]
-
-  def lake(spark: SparkSession, setting: Setting, n: Int = LakeDocs): (DataFrame, DataFrame) =
-    synchronized {
-      lakeCache.getOrElseUpdate((setting.name, n), Harness.lake(spark, setting, n, Seed))
-    }
+  private def lake(spark: SparkSession, setting: Setting, n: Int = LakeDocs): (DataFrame, DataFrame) =
+    Harness.lake(spark, setting, n, Seed)
 
   def tuplesDf(spark: SparkSession, tuples: Seq[(String, String, String)]): DataFrame =
     StructuredView.tuplesDf(spark, tuples)
 
-  private def byGroup(perSetting: Seq[(Setting, Double)]): Map[String, Double] =
-    perSetting.groupBy(_._1.group).map { case (g, vs) =>
-      g -> vs.map(_._2).sum / vs.size
-    }
+  // ========================================================= group means
+
+  /** Column means of metric rows, each column summed in row order. */
+  private def means(rows: Seq[Seq[Double]]): Seq[Double] =
+    rows.transpose.map(_.sum / rows.size)
+
+  /** Per-group column means of per-setting metric rows, in `groups` order
+    * (the paper's SWDE rows average their sites). Within a group the rows
+    * are summed in the order given, `Corpora.all` order in every table, so
+    * the rounded figures are reproducible to the last digit.
+    */
+  private def groupMeans(perSetting: Seq[(Setting, Seq[Double])],
+                         groups: Seq[String] = PaperNumbers.groups): Seq[(String, Seq[Double])] = {
+    val byGroup = perSetting.groupBy(_._1.group)
+    groups.map(g => g -> means(byGroup(g).map(_._2)))
+  }
+
+  // ====================================================== paper vs measured
 
   private def f(x: Double): String = f"$x%6.1f"
+
+  /** A paper-vs-measured cell; `—` where the paper reports no number. */
+  private def pm(paper: Double, measured: Double): String =
+    s"${if (paper.isNaN) "     —" else f(paper)} ${f(measured)}"
+
+  private def pmCells(paper: Seq[Double], measured: Seq[Double]): Seq[String] =
+    paper.zip(measured).map { case (p, m) => pm(p, m) }
+
+  /** The `paper measured` header line under `cols` cell columns. */
+  private def pmRule(labelWidth: Int, cols: Int): String =
+    " " * labelWidth + " | " + Seq.fill(cols)("paper   measured").mkString(" | ") + "\n"
+
+  /** The paper-vs-measured grid of Tables 1–4, 6 and 7: `header`, then one
+    * line per row holding its label and its cells.
+    */
+  private def grid(header: String, rows: Seq[(String, Seq[String])]): String =
+    header + rows.map { case (label, cells) => s"$label | ${cells.mkString("  | ")}\n" }.mkString
 
   // ================================================================ Table 1
 
@@ -51,34 +77,21 @@ object Tables {
                          openP: Double, openF1: Double)
 
   /** Evaporate-Code+ quality across the five groups (full lakes). */
-  def table1(spark: SparkSession): Seq[T1Row] = {
-    val per = Corpora.all.map { s =>
+  def table1(spark: SparkSession): Seq[T1Row] =
+    groupMeans(Corpora.all.map { s =>
       val (docs, gold) = lake(spark, s)
       val open         = Harness.codeOpen(spark, s, docs, gold, Profile.davinci, Seed)
       val (_, closed)  = Harness.codeClosed(spark, s, docs, gold, Profile.davinci, Seed)
-      (s, closed, open.prf)
-    }
-    val c = byGroup(per.map(p => (p._1, p._2)))
-    val r = byGroup(per.map(p => (p._1, p._3.recall)))
-    val p = byGroup(per.map(p => (p._1, p._3.precision)))
-    val o = byGroup(per.map(p => (p._1, p._3.f1)))
-    PaperNumbers.groups.map(g =>
-      T1Row(g, Harness.pct(c(g)), Harness.pct(r(g)), Harness.pct(p(g)), Harness.pct(o(g))))
-  }
+      s -> Seq(closed, open.prf.recall, open.prf.precision, open.prf.f1)
+    }).map { case (g, Seq(c, r, p, o)) => T1Row(g, pct(c), pct(r), pct(p), pct(o)) }
 
   def renderTable1(rows: Seq[T1Row]): String = {
-    val sb = new StringBuilder
-    sb.append("Table 1 — Evaporate-Code+ quality (ClosedIE Text F1, OpenIE Pair R/P/F1)\n")
-    sb.append(f"${"Source"}%-17s | ${"Closed"}%-15s | ${"Open R"}%-15s | ${"Open P"}%-15s | ${"Open F1"}%-15s\n")
-    sb.append(f"${""}%-17s | paper   measured | paper   measured | paper   measured | paper   measured\n")
-    def line(g: String, pap: (Double, Double, Double, Double), m: T1Row): Unit =
-      sb.append(f"$g%-17s | ${f(pap._1)} ${f(m.closedF1)}  | ${f(pap._2)} ${f(m.openR)}  | ${f(pap._3)} ${f(m.openP)}  | ${f(pap._4)} ${f(m.openF1)}\n")
-    rows.foreach(r => line(r.group, PaperNumbers.table1(r.group), r))
-    val avg = T1Row("Average",
-      rows.map(_.closedF1).sum / rows.size, rows.map(_.openR).sum / rows.size,
-      rows.map(_.openP).sum / rows.size, rows.map(_.openF1).sum / rows.size)
-    line("Average", (82.3, 58.9, 78.5, 66.7), avg)
-    sb.toString
+    val measured = rows.map(r => Seq(r.closedF1, r.openR, r.openP, r.openF1))
+    grid("Table 1 — Evaporate-Code+ quality (ClosedIE Text F1, OpenIE Pair R/P/F1)\n" +
+      f"${"Source"}%-17s | ${"Closed"}%-15s | ${"Open R"}%-15s | ${"Open P"}%-15s | ${"Open F1"}%-15s\n" +
+      pmRule(17, 4),
+      rows.zip(measured).map { case (r, m) => (f"${r.group}%-17s", pmCells(PaperNumbers.table1(r.group), m)) } :+
+        (f"${"Average"}%-17s", pmCells(PaperNumbers.table1Average, means(measured))))
   }
 
   // ================================================================ Table 2
@@ -86,9 +99,10 @@ object Tables {
   final case class T2Row(system: String, movieClosed: Double, movieOpen: Double,
                          uniClosed: Double, uniOpen: Double)
 
+  /** Per-site (closed Text F1, open Pair F1) of a DOM baseline. */
   private def domScores(spark: SparkSession, sites: Seq[Setting],
-                        model: DomBaselines.Model): (Double, Double) = {
-    val scores = sites.map { test =>
+                        model: DomBaselines.Model): Seq[Seq[Double]] =
+    sites.map { test =>
       val labels =
         if (model == DomBaselines.ZeroShotCeres) DomBaselines.LabelMap(Map.empty)
         else DomBaselines.train(
@@ -105,19 +119,19 @@ object Tables {
         if (v.nonEmpty) Some((d.id, a, v)) else None
       })
       val closed = Metrics.closedTextF1(spark, tuplesDf(spark, closedTuples), gold)
-      (closed, open.f1)
+      Seq(closed, open.f1)
     }
-    (scores.map(_._1).sum / scores.size, scores.map(_._2).sum / scores.size)
-  }
 
-  /** Evaporate systems are evaluated on the paper's 10-document samples
+  /** Per-site (closed Text F1, open Pair F1) of an Evaporate system.
+    *
+    * Evaporate systems are evaluated on the paper's 10-document samples
     * (the Table 2/3 protocol — Direct is too expensive to run on full
     * benchmarks, and Code+ is reported on the same sample for fairness).
     * Code paths still run their synthesized functions over the full lake.
     */
   private def evaporateVerticalScores(spark: SparkSession, sites: Seq[Setting],
-                                      cfg: Option[CodeConfig]): (Double, Double) = {
-    val scores = sites.map { s =>
+                                      cfg: Option[CodeConfig]): Seq[Seq[Double]] =
+    sites.map { s =>
       val (docs, gold) = lake(spark, s, SiteDocs)
       val ids    = Harness.sampleIds(s, EvalSample)
       val docs10 = Harness.restrict(docs, ids)
@@ -126,54 +140,43 @@ object Tables {
         case None =>
           val open        = Harness.directOpen(spark, s, docs10, gold10, Profile.davinci, Seed)
           val (_, closed) = Harness.directClosed(spark, s, docs10, gold10, Profile.davinci, Seed)
-          (closed, open.prf.f1)
+          Seq(closed, open.prf.f1)
         case Some(c) =>
           val open = Harness.codeOpen(spark, s, docs, gold, Profile.davinci, Seed, c,
             evalIds = Some(ids))
           val v = EvaporateCode.run(spark, s, docs, Profile.davinci, Seed,
             s.goldAttrs.size, c, givenSchema = Some(s.goldAttrs))
           val closed = Metrics.closedTextF1(spark, Harness.restrict(v.table, ids), gold10)
-          (closed, open.prf.f1)
+          Seq(closed, open.prf.f1)
       }
     }
-    (scores.map(_._1).sum / scores.size, scores.map(_._2).sum / scores.size)
-  }
 
   /** SoTA comparison on the SWDE verticals. */
   def table2(spark: SparkSession): Seq[T2Row] = {
-    val movies = Corpora.movieSites
-    val unis   = Corpora.uniSites
+    def row(system: String, scores: Seq[Setting] => Seq[Seq[Double]]): T2Row = {
+      val Seq(mc, mo) = means(scores(Corpora.movieSites))
+      val Seq(uc, uo) = means(scores(Corpora.uniSites))
+      T2Row(system, pct(mc), pct(mo), pct(uc), pct(uo))
+    }
     val baselineRows = Seq(
       DomBaselines.ZeroShotCeres, DomBaselines.RobertaBase,
       DomBaselines.RobertaStructural, DomBaselines.DomLM).map { m =>
-      val (mc, mo) = domScores(spark, movies, m)
-      val (uc, uo) = domScores(spark, unis, m)
-      T2Row(m.name, Harness.pct(mc), Harness.pct(mo), Harness.pct(uc), Harness.pct(uo))
+      row(m.name, domScores(spark, _, m))
     }
     val evaporateRows = Seq(
       ("Evaporate-Direct", None),
       ("Evaporate-Code", Some(CodeConfig(singleFunction = true))),
       ("Evaporate-Code+", Some(CodeConfig())),
-    ).map { case (name, cfg) =>
-      val (mc, mo) = evaporateVerticalScores(spark, movies, cfg)
-      val (uc, uo) = evaporateVerticalScores(spark, unis, cfg)
-      T2Row(name, Harness.pct(mc), Harness.pct(mo), Harness.pct(uc), Harness.pct(uo))
-    }
+    ).map { case (name, cfg) => row(name, evaporateVerticalScores(spark, _, cfg)) }
     baselineRows ++ evaporateRows
   }
 
-  def renderTable2(rows: Seq[T2Row]): String = {
-    val sb = new StringBuilder
-    sb.append("Table 2 — SWDE Movie / University vs. state of the art (Closed Text F1, Open Pair F1)\n")
-    sb.append(f"${"System"}%-20s | Movie Closed     | Movie Open       | Univ Closed      | Univ Open\n")
-    sb.append(f"${""}%-20s | paper   measured | paper   measured | paper   measured | paper   measured\n")
-    rows.foreach { r =>
-      val (pmc, pmo, puc, puo) = PaperNumbers.table2.toMap.apply(r.system)
-      def s(x: Double) = if (x.isNaN) "     —" else f(x)
-      sb.append(f"${r.system}%-20s | ${s(pmc)} ${f(r.movieClosed)}  | ${s(pmo)} ${f(r.movieOpen)}  | ${s(puc)} ${f(r.uniClosed)}  | ${s(puo)} ${f(r.uniOpen)}\n")
-    }
-    sb.toString
-  }
+  def renderTable2(rows: Seq[T2Row]): String =
+    grid("Table 2 — SWDE Movie / University vs. state of the art (Closed Text F1, Open Pair F1)\n" +
+      f"${"System"}%-20s | Movie Closed     | Movie Open       | Univ Closed      | Univ Open\n" +
+      pmRule(20, 4),
+      rows.map(r => (f"${r.system}%-20s", pmCells(PaperNumbers.table2(r.system),
+        Seq(r.movieClosed, r.movieOpen, r.uniClosed, r.uniOpen)))))
 
   // ================================================================ Table 3
 
@@ -181,52 +184,42 @@ object Tables {
                          plusF1: Double, plusMTok: Double, plusUsd: Double,
                          deltaF1: Double, reduction: Double)
 
-  /** Direct vs Code+ quality (10-doc sample) and cost per 10k documents. */
-  def table3(spark: SparkSession): Seq[T3Row] = {
-    val per = Corpora.all.map { s =>
+  /** Direct vs Code+ quality (10-doc sample) and cost per 10k documents.
+    * Code+'s LLM tokens are fixed in the lake size, so its per-10k cost is
+    * the run's own token count.
+    */
+  def table3(spark: SparkSession): Seq[T3Row] =
+    groupMeans(Corpora.all.map { s =>
       val (docs, gold) = lake(spark, s)
       val ids     = Harness.sampleIds(s, EvalSample)
       val docs10  = Harness.restrict(docs, ids)
       val gold10  = Harness.restrict(gold, ids)
 
-      val direct     = Harness.directOpen(spark, s, docs10, gold10, Profile.davinci, Seed)
-      val directT10k = Harness.directTokensPer10k(direct.view, EvalSample)
-
-      val plus     = Harness.codeOpen(spark, s, docs, gold, Profile.davinci, Seed,
+      val direct = Harness.directOpen(spark, s, docs10, gold10, Profile.davinci, Seed)
+      val plus   = Harness.codeOpen(spark, s, docs, gold, Profile.davinci, Seed,
         evalIds = Some(ids))
-      val plusT10k = Harness.codeTokensPer10k(plus.view)
-
-      (s, direct.prf.f1, directT10k, plus.prf.f1, plusT10k)
-    }
-    def m(tok: Double): Double = tok / 1e6
-    val dF1 = byGroup(per.map(p => (p._1, p._2)))
-    val dTk = byGroup(per.map(p => (p._1, p._3.toDouble)))
-    val pF1 = byGroup(per.map(p => (p._1, p._4)))
-    val pTk = byGroup(per.map(p => (p._1, p._5.toDouble)))
-    PaperNumbers.groups.map { g =>
+      s -> Seq(direct.prf.f1, Harness.directTokensPer10k(direct.view, EvalSample).toDouble,
+        plus.prf.f1, plus.view.tokens.toDouble)
+    }).map { case (g, Seq(dF1, dTok, pF1, pTok)) =>
       T3Row(g,
-        Harness.pct(dF1(g)), m(dTk(g)), CostModel.dollars(dTk(g).toLong),
-        Harness.pct(pF1(g)), m(pTk(g)), CostModel.dollars(pTk(g).toLong),
-        Harness.pct(pF1(g)) - Harness.pct(dF1(g)), dTk(g) / math.max(1.0, pTk(g)))
+        pct(dF1), dTok / 1e6, CostModel.dollars(dTok.toLong),
+        pct(pF1), pTok / 1e6, CostModel.dollars(pTok.toLong),
+        pct(pF1) - pct(dF1), dTok / math.max(1.0, pTok))
     }
-  }
 
   def renderTable3(rows: Seq[T3Row]): String = {
-    val sb = new StringBuilder
-    sb.append("Table 3 — Direct vs Code+: quality (Pair F1 on 10-doc sample) and cost per 10k documents\n")
-    sb.append(f"${"Source"}%-17s | Direct F1        | Direct Mtok      | Code+ F1         | Code+ Mtok       | dF1              | reduction\n")
-    sb.append(f"${""}%-17s | paper   measured | paper   measured | paper   measured | paper   measured | paper   measured | paper   measured\n")
-    def line(g: String, pap: (Double, Double, Double, Double, Double, Double, Double, Double), r: T3Row): Unit =
-      sb.append(f"$g%-17s | ${f(pap._1)} ${f(r.directF1)}  | ${f(pap._2)} ${f(r.directMTok)}  | ${f(pap._4)} ${f(r.plusF1)}  | ${f(pap._5)} ${f(r.plusMTok)}  | ${f(pap._7)} ${f(r.deltaF1)}  | ${f(pap._8)}x${f(r.reduction)}x\n")
-    rows.foreach(r => line(r.group, PaperNumbers.table3(r.group), r))
-    val avg = T3Row("Average",
-      rows.map(_.directF1).sum / rows.size, rows.map(_.directMTok).sum / rows.size,
-      rows.map(_.directUsd).sum / rows.size, rows.map(_.plusF1).sum / rows.size,
-      rows.map(_.plusMTok).sum / rows.size, rows.map(_.plusUsd).sum / rows.size,
-      rows.map(_.deltaF1).sum / rows.size, rows.map(_.reduction).sum / rows.size)
-    line("Average", (55.4, 258.0, 5157.0, 67.5, 1.9, 39.0, 12.1, 110.0), avg)
-    sb.append(f"Dollar cost at $$0.02/1k tokens (text-davinci-003): Direct avg $$${avg.directUsd}%.0f, Code+ avg $$${avg.plusUsd}%.2f per 10k docs.\n")
-    sb.toString
+    val measured = rows.map(r => Seq(r.directF1, r.directMTok, r.directUsd, r.plusF1,
+      r.plusMTok, r.plusUsd, r.deltaF1, r.reduction))
+    val avg = means(measured)
+    // The dollar columns (2 and 5) are printed only as averages, below the grid.
+    def cells(paper: Seq[Double], m: Seq[Double]) =
+      Seq(0, 1, 3, 4, 6).map(i => pm(paper(i), m(i))) :+ s"${f(paper(7))}x${f(m(7))}x"
+    grid("Table 3 — Direct vs Code+: quality (Pair F1 on 10-doc sample) and cost per 10k documents\n" +
+      f"${"Source"}%-17s | Direct F1        | Direct Mtok      | Code+ F1         | Code+ Mtok       | dF1              | reduction\n" +
+      pmRule(17, 6),
+      rows.zip(measured).map { case (r, m) => (f"${r.group}%-17s", cells(PaperNumbers.table3(r.group), m)) } :+
+        (f"${"Average"}%-17s", cells(PaperNumbers.table3Average, avg))) +
+      f"Dollar cost at $$0.02/1k tokens (text-davinci-003): Direct avg $$${avg(2)}%.0f, Code+ avg $$${avg(5)}%.2f per 10k docs.\n"
   }
 
   // ================================================================ Table 4
@@ -238,32 +231,21 @@ object Tables {
   def table4(spark: SparkSession): Seq[T4Row] = {
     val modes = Seq(Aggregation.MajorityVote, Aggregation.WsRaw,
       Aggregation.WsFilter, Aggregation.WsFull)
-    val per = Corpora.all.map { s =>
+    groupMeans(Corpora.all.map { s =>
       val (docs, gold) = lake(spark, s)
-      val f1s = modes.map { m =>
+      s -> modes.map { m =>
         Harness.codeOpen(spark, s, docs, gold, Profile.davinci, Seed, CodeConfig(mode = m)).prf.f1
       }
-      (s, f1s)
-    }
-    val cols = (0 until 4).map(i => byGroup(per.map(p => (p._1, p._2(i)))))
-    PaperNumbers.groups.map(g => T4Row(g,
-      Harness.pct(cols(0)(g)), Harness.pct(cols(1)(g)),
-      Harness.pct(cols(2)(g)), Harness.pct(cols(3)(g))))
+    }).map { case (g, Seq(mv, ws, wsf, full)) => T4Row(g, pct(mv), pct(ws), pct(wsf), pct(full)) }
   }
 
   def renderTable4(rows: Seq[T4Row]): String = {
-    val sb = new StringBuilder
-    sb.append("Table 4 — Aggregation strategies (OpenIE Pair F1)\n")
-    sb.append(f"${"Source"}%-17s | MV               | WS               | WS+Filter        | WS+Abstain+Filter\n")
-    sb.append(f"${""}%-17s | paper   measured | paper   measured | paper   measured | paper   measured\n")
-    def line(g: String, pap: (Double, Double, Double, Double), r: T4Row): Unit =
-      sb.append(f"$g%-17s | ${f(pap._1)} ${f(r.mv)}  | ${f(pap._2)} ${f(r.ws)}  | ${f(pap._3)} ${f(r.wsFilter)}  | ${f(pap._4)} ${f(r.wsFull)}\n")
-    rows.foreach(r => line(r.group, PaperNumbers.table4(r.group), r))
-    val avg = T4Row("Average",
-      rows.map(_.mv).sum / rows.size, rows.map(_.ws).sum / rows.size,
-      rows.map(_.wsFilter).sum / rows.size, rows.map(_.wsFull).sum / rows.size)
-    line("Average", (56.2, 57.7, 64.8, 66.7), avg)
-    sb.toString
+    val measured = rows.map(r => Seq(r.mv, r.ws, r.wsFilter, r.wsFull))
+    grid("Table 4 — Aggregation strategies (OpenIE Pair F1)\n" +
+      f"${"Source"}%-17s | MV               | WS               | WS+Filter        | WS+Abstain+Filter\n" +
+      pmRule(17, 4),
+      rows.zip(measured).map { case (r, m) => (f"${r.group}%-17s", pmCells(PaperNumbers.table4(r.group), m)) } :+
+        (f"${"Average"}%-17s", pmCells(PaperNumbers.table4Average, means(measured))))
   }
 
   // ================================================================ Table 5
@@ -285,15 +267,11 @@ object Tables {
         val direct = Harness.directOpen(spark, s, docs10, gold10, prof, Seed)
         val plus   = Harness.codeOpen(spark, s, docs, gold, prof, Seed, evalIds = Some(ids))
         val schema = Harness.schemaF1AtK(s, prof, Seed)
-        (s, direct.prf.f1, plus.prf.f1, schema)
+        s -> Seq(direct.prf.f1, plus.prf.f1, schema)
       }
-      val d  = byGroup(per.map(p => (p._1, p._2)))
-      val pl = byGroup(per.map(p => (p._1, p._3)))
-      val sc = per.map(_._4).sum / per.size
-      T5Row(prof.model,
-        t5GroupOrder.map(g => Harness.pct(d(g))),
-        t5GroupOrder.map(g => Harness.pct(pl(g))),
-        Harness.pct(sc))
+      val perGroup = groupMeans(per, t5GroupOrder).map(_._2)
+      T5Row(prof.model, perGroup.map(m => pct(m(0))), perGroup.map(m => pct(m(1))),
+        pct(means(per.map(_._2))(2)))
     }
   }
 
@@ -312,70 +290,54 @@ object Tables {
 
   /** Davinci's schema F1@k (§4.4.2 reference value, 71.9 in the paper). */
   def davinciSchemaF1(spark: SparkSession): Double =
-    Harness.pct(Corpora.all.map(s => Harness.schemaF1AtK(s, Profile.davinci, Seed)).sum / Corpora.all.size)
+    pct(Corpora.all.map(s => Harness.schemaF1AtK(s, Profile.davinci, Seed)).sum / Corpora.all.size)
 
   // ================================================================ Table 6
 
   final case class T6Row(group: String, nAttrs: Double, closedF1: Double)
 
   /** QA span-extractor ClosedIE baseline (DeBERTaV3-SQuAD2-like). */
-  def table6(spark: SparkSession): Seq[T6Row] = {
-    val per = Corpora.all.map { s =>
+  def table6(spark: SparkSession): Seq[T6Row] =
+    groupMeans(Corpora.all.map { s =>
       val docs      = DocGen.corpus(s, LakeDocs, Seed)
       val (_, gold) = lake(spark, s)
       val tuples = docs.flatMap(d => s.goldAttrs.flatMap { a =>
         val v = QaSpanBaseline.extract(d.text, a)
         if (v.nonEmpty) Some((d.id, a, v)) else None
       })
-      (s, Metrics.closedTextF1(spark, tuplesDf(spark, tuples), gold))
-    }
-    val c = byGroup(per)
-    val k = byGroup(Corpora.all.map(s => (s, s.goldAttrs.size.toDouble)))
-    PaperNumbers.groups.map(g => T6Row(g, k(g), Harness.pct(c(g))))
-  }
+      s -> Seq(s.goldAttrs.size.toDouble, Metrics.closedTextF1(spark, tuplesDf(spark, tuples), gold))
+    }).map { case (g, Seq(k, c)) => T6Row(g, k, pct(c)) }
 
-  def renderTable6(rows: Seq[T6Row]): String = {
-    val sb = new StringBuilder
-    sb.append("Table 6 — QA span-extractor baseline (ClosedIE Text F1)\n")
-    sb.append(f"${"Source"}%-17s | #attrs | paper   measured\n")
-    rows.foreach { r =>
-      val (pk, pf) = PaperNumbers.table6(r.group)
-      sb.append(f"${r.group}%-17s | ${r.nAttrs}%4.0f($pk%2d) | ${f(pf)} ${f(r.closedF1)}\n")
-    }
-    sb.toString
-  }
+  def renderTable6(rows: Seq[T6Row]): String =
+    grid("Table 6 — QA span-extractor baseline (ClosedIE Text F1)\n" +
+      f"${"Source"}%-17s | #attrs | paper   measured\n",
+      rows.map { r =>
+        val (pk, pf) = PaperNumbers.table6(r.group)
+        (f"${r.group}%-17s | ${r.nAttrs}%4.0f($pk%2d)", Seq(pm(pf, r.closedF1)))
+      })
 
   // ================================================================ Table 7
 
   final case class T7Row(group: String, nAttrs: Double, f1: Double, mTok: Double, usd: Double)
 
   /** Quality and cost of the LLM F's ClosedIE extraction (prompt E.2). */
-  def table7(spark: SparkSession): Seq[T7Row] = {
-    val per = Corpora.all.map { s =>
+  def table7(spark: SparkSession): Seq[T7Row] =
+    groupMeans(Corpora.all.map { s =>
       val (docs, gold)   = lake(spark, s)
       val (view, closed) = Harness.directClosed(spark, s, docs, gold, Profile.davinci, Seed)
-      val tok10k         = Harness.directTokensPer10k(view, LakeDocs)
-      (s, closed, tok10k.toDouble)
-    }
-    val c = byGroup(per.map(p => (p._1, p._2)))
-    val t = byGroup(per.map(p => (p._1, p._3)))
-    val k = byGroup(Corpora.all.map(s => (s, s.goldAttrs.size.toDouble)))
-    PaperNumbers.groups.map(g =>
-      T7Row(g, k(g), Harness.pct(c(g)), t(g) / 1e6, CostModel.dollars(t(g).toLong)))
-  }
+      s -> Seq(s.goldAttrs.size.toDouble, closed, Harness.directTokensPer10k(view, LakeDocs).toDouble)
+    }).map { case (g, Seq(k, c, tok)) => T7Row(g, k, pct(c), tok / 1e6, CostModel.dollars(tok.toLong)) }
 
   def renderTable7(rows: Seq[T7Row]): String = {
-    val sb = new StringBuilder
-    sb.append("Table 7 — LLM F ClosedIE quality & cost per 10k documents\n")
-    sb.append(f"${"Source"}%-17s | #attrs | F1 paper/meas    | Mtok paper/meas  | $$ paper/meas\n")
-    rows.foreach { r =>
-      val (pk, pf, pt, pd) = PaperNumbers.table7(r.group)
-      sb.append(f"${r.group}%-17s | ${r.nAttrs}%4.0f($pk%2d) | ${f(pf)} ${f(r.f1)}  | ${f(pt)} ${f(r.mTok)}  | ${pd}%8.0f ${r.usd}%8.2f\n")
-    }
-    val avg = T7Row("Average", rows.map(_.nAttrs).sum / rows.size, rows.map(_.f1).sum / rows.size,
-      rows.map(_.mTok).sum / rows.size, rows.map(_.usd).sum / rows.size)
-    sb.append(f"${"Average"}%-17s | ${avg.nAttrs}%4.1f     | ${f(79.9)} ${f(avg.f1)}  | ${f(289.0)} ${f(avg.mTok)}  | ${5785.0}%8.0f ${avg.usd}%8.2f\n")
-    sb.toString
+    val avg = means(rows.map(r => Seq(r.nAttrs, r.f1, r.mTok, r.usd)))
+    def cells(paper: Seq[Double], m: Seq[Double]) =
+      Seq(pm(paper(0), m(0)), pm(paper(1), m(1)), f"${paper(2)}%8.0f ${m(2)}%8.2f")
+    grid("Table 7 — LLM F ClosedIE quality & cost per 10k documents\n" +
+      f"${"Source"}%-17s | #attrs | F1 paper/meas    | Mtok paper/meas  | $$ paper/meas\n",
+      rows.map { r =>
+        val (pk, paper) = PaperNumbers.table7(r.group)
+        (f"${r.group}%-17s | ${r.nAttrs}%4.0f($pk%2d)", cells(paper, Seq(r.f1, r.mTok, r.usd)))
+      } :+ (f"${"Average"}%-17s | ${avg.head}%4.1f    ", cells(PaperNumbers.table7Average, avg.tail)))
   }
 
   // ======================================================== Figure 3 claims
@@ -400,16 +362,14 @@ object Tables {
       ("PA + PB", Seq[Synthesizer.PromptKind](Synthesizer.PA, Synthesizer.PB), 5),
     )
     variants.map { case (name, prompts, perPrompt) =>
-      def vertical(sites: Seq[Setting]): Double = {
-        val f1s = sites.map { s =>
+      val Seq(movie, uni) = Seq(Corpora.movieSites, Corpora.uniSites).map { sites =>
+        means(sites.map { s =>
           val (docs, gold) = lake(spark, s)
-          Harness.codeOpen(spark, s, docs, gold, Profile.davinci, Seed,
-            CodeConfig(perPrompt = perPrompt, prompts = prompts)).prf.f1
-        }
-        f1s.sum / f1s.size
+          Seq(Harness.codeOpen(spark, s, docs, gold, Profile.davinci, Seed,
+            CodeConfig(perPrompt = perPrompt, prompts = prompts)).prf.f1)
+        }).head
       }
-      DiversityRow(name, Harness.pct(vertical(Corpora.movieSites)),
-        Harness.pct(vertical(Corpora.uniSites)))
+      DiversityRow(name, pct(movie), pct(uni))
     }
   }
 

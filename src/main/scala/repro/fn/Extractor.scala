@@ -171,11 +171,10 @@ object Extractor {
   }
 
   /** Wraps a working extractor with the paper's "sloppy" failure mode:
-    * the function matches the right region but captures too much.
+    * the function matches the right region but mis-captures the value.
     *
-    * @param mode 0 = keep raw markup instead of text; 1 = append the `extra`
-    *             trailing tokens that follow the value in the document;
-    *             2 = truncate to the first token.
+    * @param mode 0 = append `extra` after the value; 1 = truncate
+    *             to the first token; any other = prepend `extra`.
     */
   final case class Sloppy(inner: Extractor, mode: Int, extra: String) extends Extractor {
     protected def run(text: String): String = {

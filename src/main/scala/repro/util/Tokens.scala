@@ -1,8 +1,5 @@
 package repro.util
 
-import java.util.concurrent.atomic.AtomicLong
-import scala.collection.concurrent.TrieMap
-
 /** Token accounting.
   *
   * The paper's cost metric is "total number of tokens processed by the LLM"
@@ -17,24 +14,4 @@ object Tokens {
   /** Approximate token count of a text. */
   def count(s: String): Long =
     if (s == null || s.isEmpty) 0L else math.max(1L, math.ceil(s.length / 4.0).toLong)
-}
-
-/** Thread-safe ledger of tokens processed by the simulated LLM, broken down
-  * by call site (schema synthesis, function synthesis, eval labeling, direct
-  * extraction, ...). Driver-side calls add directly; per-document UDF calls
-  * return their token counts as DataFrame columns which the caller sums and
-  * adds here, so executor-side work is still accounted.
-  */
-final class TokenMeter extends Serializable {
-  private val total  = new AtomicLong(0L)
-  private val byCall = TrieMap.empty[String, Long]
-
-  def add(call: String, tokens: Long): Unit = {
-    total.addAndGet(tokens)
-    byCall.updateWith(call) { prev => Some(prev.getOrElse(0L) + tokens) }
-  }
-
-  def totalTokens: Long               = total.get()
-  def breakdown: Map[String, Long]    = byCall.toMap
-  def tokensFor(call: String): Long   = byCall.getOrElse(call, 0L)
 }

@@ -16,6 +16,17 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Runs `body` with the given SQL confs set, then restores their old values. */
+  def withConf[T](settings: (String, String)*)(body: => T): T = {
+    val saved = settings.map { case (k, _) => k -> spark.conf.getOption(k) }
+    settings.foreach { case (k, v) => spark.conf.set(k, v) }
+    try body
+    finally saved.foreach {
+      case (k, Some(v)) => spark.conf.set(k, v)
+      case (k, None)    => spark.conf.unset(k)
+    }
+  }
 }
 
 object SparkSpec {

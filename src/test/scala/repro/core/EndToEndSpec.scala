@@ -1,9 +1,12 @@
 package repro.core
 
+import java.nio.charset.StandardCharsets.UTF_8
+import java.security.MessageDigest
+import java.util.HexFormat
 import scala.collection.mutable
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
-import repro.docs.{Corpora, Setting}
+import repro.docs.{Corpora, DocLake, Setting}
 import repro.eval.Harness
 import repro.llm.Profile
 import repro.ws.Aggregation
@@ -16,13 +19,11 @@ class EndToEndSpec extends SparkSpec {
 
   private val seed = 42L
 
-  // Every run is seeded, so each lake and each (setting, system) run is
-  // computed once and shared by the tests that assert on it.
-  private val lakes = mutable.Map.empty[String, (DataFrame, DataFrame)]
-  private val runs  = mutable.Map.empty[String, (Harness.OpenRun, Harness.OpenRun, Harness.OpenRun)]
+  // Every run is seeded, so each (setting, system) run is computed once and
+  // shared by the tests that assert on it; `Harness.lake` memoises the lakes.
+  private val runs = mutable.Map.empty[String, (Harness.OpenRun, Harness.OpenRun, Harness.OpenRun)]
 
-  private def lake(setting: Setting) =
-    lakes.getOrElseUpdate(setting.name, Harness.lake(spark, setting, 40, seed))
+  private def lake(setting: Setting) = Harness.lake(spark, setting, 40, seed)
 
   /** Direct, Code and Code+ (davinci, full Algorithm 1) on a 40-doc lake. */
   private def systems(setting: Setting) = runs.getOrElseUpdate(setting.name, {
@@ -104,5 +105,81 @@ class EndToEndSpec extends SparkSpec {
     val p10 = Harness.codeOpen(spark, Corpora.fda, docs10, gold40, Profile.davinci, seed)
     def fixed(v: repro.core.StructuredView) = v.tokens - v.tokenBreakdown("validate")
     assert(fixed(p40.view) == fixed(p10.view))
+  }
+
+  /** SHA-256 of a view's sorted `doc_id\tattr\tvalue` lines followed by its
+    * sorted `call\ttokens` breakdown: a run's table and its LLM cost.
+    */
+  private def digest(view: StructuredView): String = {
+    val tuples = view.table.collect().toSeq
+      .map(r => Seq("doc_id", "attr", "value").map(r.getAs[String]).mkString("\t")).sorted
+    val tokens = view.tokenBreakdown.toSeq.sorted.map { case (call, n) => s"$call\t$n" }
+    HexFormat.of.formatHex(MessageDigest.getInstance("SHA-256")
+      .digest((tuples ++ tokens).mkString("\n").getBytes(UTF_8)))
+  }
+
+  /** Digests of Direct, Code and Code+ on each group's 40-doc lake. A change
+    * that moves any of them changes the paper's tables: explain it or fix it.
+    */
+  private val golden: Map[String, (String, String, String)] = Map(
+    "fda" -> (
+      "ae7528edbfdb469d3e8dd496fb70249a71356435090a7a7b6819ba3c89c4f469",
+      "bd9d981bcc738da9bc30801a1e4e52954016de2010e58971ab883a205ca4a4ef",
+      "26e3c8d03f1edcc4d76ac5b2b1601aa875dacf7bce7eac37c76bc2b079bbc413"),
+    "enron" -> (
+      "a6f9a62b2e7cf3afab3f7e83dcf688ac589a5a4b21b87f3ba9114aca6f890864",
+      "b9f58b6623840e93b637392b7b0d0ce53e3f045c2ba111c6f6e3e49e4194bb81",
+      "08b16d0b5ee0497d4411f70dc25b45cd21ca16221dc40d2132364185a7268c05"),
+    "wiki-nba" -> (
+      "823377f101590db8d7defd199d873681068c5b51981f614de66cc88da1349fcb",
+      "0c668aeaf3ec0cde8b7e72d9d48f3e78dcd792c68dddc3f1dc48d4eef996c404",
+      "47245575318ac7b4607fdc185937a55fd1329114d1cf80ddb8595ae1beeeef25"),
+    "swde-movie-imdb" -> (
+      "f4c154a67c2fccbb4ab82b644486a53e154e5072e930e9d483718e5718bf9464",
+      "9010bd13094fb1045606947b6f4c573c21704475e12b143ba1a34e438ee28668",
+      "69706c6bda9fe0a5708ea2897b1b7bd52ca2707e0070efb769df84e52ada60e0"),
+    "swde-university-collegeprowler" -> (
+      "be3fa3e0e3d5bedeaa344a893bf323f584047689569fad6f780949c84e2ce925",
+      "374328b7d75b45cbe17c9e939be9693c9e5d072f5ecc940857b37604ba0cf17f",
+      "cb0b8a220935ffa433f56bd99bfcc3f304cee4e1207137b28aef1fc67e049695"),
+  )
+
+  private val goldenSettings =
+    Seq(Corpora.fda, Corpora.enron, Corpora.nba, Corpora.movieSites.head, Corpora.uniSites.head)
+
+  for (setting <- goldenSettings) {
+    test(s"${setting.name}: Direct, Code and Code+ outputs match their golden digests") {
+      val (direct, code, plus) = systems(setting)
+      val got = (digest(direct.view), digest(code.view), digest(plus.view))
+      assert(got == golden(setting.name))
+    }
+  }
+
+  test("Direct and Code+ outputs do not depend on shuffle partitions or lake partitioning") {
+    val setting = Corpora.fda
+    val (docs, gold) = lake(setting)
+    def digests(d: DataFrame) = (
+      digest(Harness.directOpen(spark, setting, d, gold, Profile.davinci, seed).view),
+      digest(Harness.codeOpen(spark, setting, d, gold, Profile.davinci, seed).view))
+    val (direct, _, plus) = golden(setting.name)
+    def at(partitions: Int) = withConf("spark.sql.shuffle.partitions" -> partitions.toString,
+        "spark.sql.adaptive.coalescePartitions.enabled" -> "false")(digests(docs))
+    assert(at(1) == ((direct, plus)))
+    assert(at(64) == ((direct, plus)))
+    assert(digests(docs.repartition(7)) == ((direct, plus)))
+  }
+
+  test("an empty lake gives empty views and finite token counts from Direct and Code+") {
+    val setting = Corpora.fda
+    val docs = DocLake.documents(spark, setting, 0, seed)
+    val views = Seq(
+      EvaporateDirect.run(spark, setting, docs, Profile.davinci, seed, setting.goldAttrs.size),
+      EvaporateDirect.runClosed(spark, setting, docs, Profile.davinci, seed, setting.goldAttrs),
+      EvaporateCode.run(spark, setting, docs, Profile.davinci, seed, setting.goldAttrs.size))
+    views.foreach { v =>
+      assert(v.table.isEmpty)
+      assert(v.tokens >= 0 && v.tokens == v.tokenBreakdown.values.sum)
+    }
+    assert(views.take(2).forall(_.tokens == 0L))
   }
 }

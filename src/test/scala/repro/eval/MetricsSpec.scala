@@ -225,16 +225,6 @@ class MetricsSpec extends SparkSpec {
     }
   }
 
-  private def withConf[T](settings: (String, String)*)(body: => T): T = {
-    val saved = settings.map { case (k, _) => k -> spark.conf.getOption(k) }
-    settings.foreach { case (k, v) => spark.conf.set(k, v) }
-    try body
-    finally saved.foreach {
-      case (k, Some(v)) => spark.conf.set(k, v)
-      case (k, None)    => spark.conf.unset(k)
-    }
-  }
-
   test("metrics do not depend on shuffle partitions or input partitioning") {
     val words = Gen.listOfN(3, Gen.oneOf("alpha", "beta", "gamma", "x", "the"))
     val tuple = for {

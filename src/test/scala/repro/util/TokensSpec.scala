@@ -23,27 +23,4 @@ class TokensSpec extends AnyFunSuite {
     val counts = texts.map(Tokens.count)
     assert(counts == counts.sorted)
   }
-
-  test("meter accumulates totals and per-call breakdown") {
-    val m = new TokenMeter
-    m.add("schema", 100)
-    m.add("schema", 50)
-    m.add("synthesis", 25)
-    assert(m.totalTokens == 175)
-    assert(m.tokensFor("schema") == 150)
-    assert(m.tokensFor("synthesis") == 25)
-    assert(m.breakdown == Map("schema" -> 150L, "synthesis" -> 25L))
-  }
-
-  test("meter is safe under concurrent adds") {
-    val m = new TokenMeter
-    val threads = (0 until 8).map(_ => new Thread(() => (0 until 1000).foreach(_ => m.add("c", 1))))
-    threads.foreach(_.start()); threads.foreach(_.join())
-    assert(m.totalTokens == 8000)
-    assert(m.tokensFor("c") == 8000)
-  }
-
-  test("unknown call site reports zero") {
-    assert(new TokenMeter().tokensFor("nope") == 0L)
-  }
 }
