@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.docs.{DocLake, Naming, Setting}
 import repro.fn.{Extractor, Synthesizer}
@@ -89,7 +89,9 @@ object EvaporateCode {
         evalTokens += labeled.map(_._2).sum
         val lmLabels = labeled.map(_._1)
         val e        = Aggregation.estimateE(lmLabels)
-        val evalOutputs   = cands.map(c => sample.map(d => c.extract(d.text)))
+        val (evalFns, evalSlots) = Extractor.distinctSlots(cands)
+        val evalDistinct  = evalFns.map(c => sample.map(d => c.extract(d.text)))
+        val evalOutputs   = evalSlots.map(evalDistinct)
         val (keptIdx, _)  = Aggregation.selectFunctions(evalOutputs, lmLabels, e, cfg.mode)
         (attr, keptIdx.map(cands), e)
       }
@@ -97,24 +99,25 @@ object EvaporateCode {
 
     val active = plan.filter(_._2.nonEmpty)
 
-    // -- 3. one pass over the lake applying every surviving function --------
+    // -- 3. one pass over the lake applying each distinct surviving function
+    // once per document; attributes' vote slots index into its outputs ------
     val activeAttrs = active.map(_._1)
-    val activeFns   = active.map(_._2.toIndexedSeq)
-    val votesUdf = udf { (text: String) =>
-      activeFns.map(fs => fs.map(_.extract(text)))
+    val (lakeFns, lakeSlots) = Extractor.distinctSlots(active.flatMap(_._2))
+    val attrSlots: Seq[IndexedSeq[Int]] = {
+      val ends = active.map(_._2.size).scanLeft(0)(_ + _)
+      ends.zip(ends.tail).map { case (from, until) => lakeSlots.slice(from, until) }
     }
-    val collected: Array[Row] =
+    val outputsUdf = udf { (text: String) => lakeFns.map(_.extract(text)) }
+    val outputs: Array[(String, IndexedSeq[String])] =
       if (active.isEmpty) Array.empty
-      else docs.select(col("doc_id"), votesUdf(col("text")) as "votes").collect()
+      else docs.select(col("doc_id"), outputsUdf(col("text")))
+        .collect().map(r => (r.getString(0), r.getSeq[String](1).toIndexedSeq))
 
     // -- 4. per-attribute aggregation ---------------------------------------
     val eByAttr = active.map { case (a, _, e) => a -> e }.toMap
-    val predictions: Seq[(String, String, String)] = activeAttrs.zipWithIndex.flatMap {
-      case (attr, ai) =>
-        val rows = collected.toSeq.map { r =>
-          val votes = r.getAs[Seq[Seq[String]]]("votes")(ai).toIndexedSeq
-          (r.getString(0), votes)
-        }
+    val predictions: Seq[(String, String, String)] = activeAttrs.zip(attrSlots).flatMap {
+      case (attr, slots) =>
+        val rows = outputs.toSeq.map { case (id, outs) => (id, slots.map(outs)) }
         val preds: Map[String, String] =
           if (cfg.singleFunction) rows.map { case (id, v) => id -> v.head }.toMap
           else Aggregation.aggregate(rows, eByAttr(attr), cfg.mode)
@@ -126,7 +129,7 @@ object EvaporateCode {
     val validAttrs: Set[String] =
       if (!cfg.validate || cfg.singleFunction) activeAttrs.toSet
       else activeAttrs.filter { a =>
-        val vals = predictions.collect { case (_, `a`, v) => v }.take(5)
+        val vals = predictions.iterator.collect { case (_, `a`, v) => v }.take(5).toSeq
         if (vals.isEmpty) false
         else {
           val (ok, t) = lm.validateAttr(a, vals)

@@ -1,7 +1,10 @@
 package repro.fn
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.docs.{Corpora, DocGen}
 import repro.fn.Extractor._
+import repro.llm.{Profile, SimLM}
+import repro.ws.Aggregation
 
 class ExtractorSpec extends AnyFunSuite {
 
@@ -149,7 +152,69 @@ class ExtractorSpec extends AnyFunSuite {
       Broken("x"), KeyColon("A", true, true), RegexCapture("(a)"), Between("a", "b"),
       TagRow("L", true, true), MetaContent("p"), TitleBefore("-"), HrefAnchor("/x/"),
       Sloppy(KeyColon("A", false, false), 0, "g"))
-    val oos = new java.io.ObjectOutputStream(new java.io.ByteArrayOutputStream())
+    val doc =
+      "<title>Page - Site</title>\n<meta itemprop=\"p\" content=\"meta value\"/>\n" +
+        "A: alpha\n<tr><th>L</th><td>row value</td></tr>\n<a href=\"/x/1\">anchor</a> b\n"
+    // Forces each lazily compiled pattern before serializing, so a forced
+    // pattern goes through the round trip too.
+    val before = all.map(_.extract(doc))
+    assert(before.zip(all).forall { case (out, e) => out.nonEmpty || e.isInstanceOf[Broken] }, before)
+
+    val bytes = new java.io.ByteArrayOutputStream()
+    val oos   = new java.io.ObjectOutputStream(bytes)
     all.foreach(e => oos.writeObject(e))
+    oos.close()
+    val ois    = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+    val copies = all.map(_ => ois.readObject().asInstanceOf[Extractor])
+    assert(copies == all)
+    assert(copies.map(_.extract(doc)) == before)
+  }
+
+  private val seed     = 42L
+  private val settings = Seq(Corpora.fda, Corpora.byName("swde-movie-imdb"))
+
+  test("distinctSlots runs each distinct function once and fans its output out to every slot") {
+    val fda = KeyColon("510(k) Number", caseInsensitive = false, continuation = false)
+    val fns: Seq[Extractor] = Seq(
+      Sloppy(fda, 0, "g"), Broken("generation error"), fda, TagRow("Director", true, true),
+      Sloppy(fda, 0, "g"), TitleBefore(" - IMDb"), Broken("generation error"), fda,
+      TagRow("Director", true, true), Broken("other"))
+    val (distinct, slots) = distinctSlots(fns)
+    assert(distinct.size == fns.distinct.size && distinct.size == 6)
+    assert(slots.size == fns.size)
+
+    var nonEmpty = 0
+    for (setting <- settings; d <- DocGen.corpus(setting, 10, seed)) {
+      val plain = fns.map(_.extract(d.text))
+      val outs  = distinct.map(_.extract(d.text))
+      assert(slots.map(outs) == plain, s"${setting.name} ${d.id}")
+      nonEmpty += plain.count(_.nonEmpty)
+    }
+    assert(nonEmpty > 0, "the documents must exercise the functions")
+  }
+
+  test("selectFunctions keeps the same candidates and scores from de-duplicated D_eval outputs") {
+    val modes = Seq(Aggregation.MajorityVote, Aggregation.WsRaw, Aggregation.WsFilter, Aggregation.WsFull)
+    var candidates, distinctCandidates = 0
+    for (setting <- settings) {
+      val sample = DocGen.corpus(setting, 10, seed)
+      val lm     = SimLM(Profile.davinci, setting, seed)
+      for (spec <- setting.attrs) {
+        val (cands, _) = Synthesizer.candidates(Some(spec), spec.name, sample, 5, Profile.davinci, seed)
+        val labels     = sample.map(d => lm.closedExtract(d.id, d.text, spec.name)._1)
+        val e          = Aggregation.estimateE(labels)
+        val plain      = cands.map(c => sample.map(d => c.extract(d.text)))
+        val (distinct, slots) = distinctSlots(cands)
+        val outs       = distinct.map(c => sample.map(d => c.extract(d.text)))
+        val dedup      = slots.map(outs)
+        assert(dedup == plain)
+        for (mode <- modes)
+          assert(Aggregation.selectFunctions(dedup, labels, e, mode) ==
+            Aggregation.selectFunctions(plain, labels, e, mode), s"${setting.name} ${spec.name} $mode")
+        candidates += cands.size
+        distinctCandidates += distinct.size
+      }
+    }
+    assert(distinctCandidates < candidates, "the synthesized pools must hold duplicates")
   }
 }
