@@ -12,7 +12,7 @@ import repro.ws.Aggregation
   *
   * @param singleFunction Evaporate-Code (§3.2): one synthesized function per
   *                       attribute, applied as-is — no LLM verification, no
-  *                       aggregation. When false this is Evaporate-Code+
+  *                       validation. When false this is Evaporate-Code+
   *                       (§3.3) under the given aggregation `mode`.
   * @param sampleDocs     documents sampled for schema synthesis, function
   *                       synthesis and D_eval (the paper uses 10 for all
@@ -26,16 +26,39 @@ final case class CodeConfig(
     perPrompt: Int = 5,
     mode: Aggregation.Mode = Aggregation.WsFull,
     singleFunction: Boolean = false,
-    validate: Boolean = true,
     prompts: Seq[Synthesizer.PromptKind] = Seq(Synthesizer.PA, Synthesizer.PB),
 )
 
+/** The LLM-side work for one attribute: its candidate functions, their
+  * outputs on D_eval (computed once per distinct candidate), the LLM's D_eval
+  * labels and the presence rate `e` (Algorithm 1 steps 2–3). No labels means
+  * the candidates are trusted as-is: Evaporate-Code, with no D_eval and no
+  * validation.
+  */
+final case class AttrPlan(attr: String, candidates: Seq[Extractor], labels: Option[Seq[String]],
+                          evalOutputs: Seq[Seq[String]], e: Double) {
+
+  /** The candidates `mode` keeps (Algorithm 1 steps 4–5). */
+  def keep(mode: Aggregation.Mode): Seq[Extractor] = labels match {
+    case None    => candidates
+    case Some(l) => Aggregation.selectFunctions(evalOutputs, l, e, mode)._1.map(candidates)
+  }
+}
+
+/** Everything Evaporate-Code(+) asks the LLM before it reads the lake: the
+  * ranked schema, each extracted attribute's plan, its schema, synthesis and
+  * eval `tokens`, and the `lm` that validates the extracted values (E.4).
+  */
+final case class CodePlan(schema: Seq[String], attrs: Seq[AttrPlan], lm: SimLM,
+                          tokens: Map[String, Long])
+
 /** Evaporate-Code and Evaporate-Code+ (§3.2–3.3).
   *
-  * LLM work (schema synthesis, function synthesis, D_eval labeling) happens
-  * once on a small driver-side sample; the synthesized extractors are then
-  * shipped in a single Spark UDF over the whole lake — the LLM token cost
-  * is *fixed* in the number of documents, the paper's headline property.
+  * `plan` does the LLM work (schema synthesis, function synthesis, D_eval
+  * labeling) once on a small driver-side sample and never reads the lake;
+  * `apply` ships the kept extractors in a single Spark UDF over the whole
+  * lake and aggregates their votes. The LLM token cost is *fixed* in the
+  * number of documents, the paper's headline property.
   */
 object EvaporateCode {
 
@@ -46,104 +69,89 @@ object EvaporateCode {
     */
   def run(spark: SparkSession, setting: Setting, docs: DataFrame, profile: Profile,
           seed: Long, k: Int, cfg: CodeConfig = CodeConfig(),
-          givenSchema: Option[Seq[String]] = None): StructuredView = {
+          givenSchema: Option[Seq[String]] = None): StructuredView =
+    apply(spark, plan(setting, profile, seed, k, cfg, givenSchema), docs, Seq(cfg.mode)).head
 
+  /** Schema, candidate functions and their D_eval scores; `cfg.mode` is
+    * not read, so one plan serves every aggregation mode.
+    */
+  def plan(setting: Setting, profile: Profile, seed: Long, k: Int, cfg: CodeConfig = CodeConfig(),
+           givenSchema: Option[Seq[String]] = None): CodePlan = {
     val lm     = SimLM(profile, setting, seed)
     val sample = DocLake.sample(setting, cfg.sampleDocs, seed)
 
-    // -- 1. schema ---------------------------------------------------------
-    val (schemaRanked, schemaTokens) = givenSchema match {
+    val (schema, schemaTokens) = givenSchema match {
       case Some(attrs) => (attrs.map(Naming.normalize), 0L)
       case None =>
         val r = SchemaSynthesis.synthesize(sample, lm)
         (r.ranked, r.tokens)
     }
-    val attrs = if (givenSchema.isDefined) schemaRanked else schemaRanked.take(k)
+    val attrs = if (givenSchema.isDefined) schema else schema.take(k)
 
-    // -- 2. per-attribute synthesis + candidate selection -------------------
-    var synthTokens = 0L
-    var evalTokens  = 0L
-    // attr -> (kept extractors, e estimate)
-    val plan: Seq[(String, Seq[Extractor], Double)] = attrs.map { attr =>
+    val planned: Seq[(AttrPlan, Long, Long)] = attrs.map { attr => // (plan, synth, eval tokens)
       val spec = setting.attrByName(attr)
-
-      val cands: Seq[Extractor] =
-        if (cfg.singleFunction) {
-          val doc = spec.flatMap(s => sample.find(_.gold.contains(s.name)))
-          val s = Synthesizer.synthesize(spec, attr, doc, Synthesizer.PA, profile,
-            Rng(seed).derive("synth", attr, "single"))
-          synthTokens += s.tokens
-          Seq(s.extractor)
-        } else {
-          val (cs, t) = Synthesizer.candidates(spec, attr, sample, cfg.perPrompt, profile, seed,
-            cfg.prompts)
-          synthTokens += t
-          cs
-        }
-
       if (cfg.singleFunction) {
-        // Evaporate-Code trusts its one function: no verification pass.
-        (attr, cands, 1.0)
+        val doc = spec.flatMap(s => sample.find(_.gold.contains(s.name)))
+        val s = Synthesizer.synthesize(spec, attr, doc, Synthesizer.PA, profile,
+          Rng(seed).derive("synth", attr, "single"))
+        (AttrPlan(attr, Seq(s.extractor), None, Nil, 1.0), s.tokens, 0L)
       } else {
+        val (cands, synthTokens) = Synthesizer.candidates(spec, attr, sample, cfg.perPrompt,
+          profile, seed, cfg.prompts)
         val labeled = sample.map(d => lm.closedExtract(d.id, d.text, attr))
-        evalTokens += labeled.map(_._2).sum
-        val lmLabels = labeled.map(_._1)
-        val e        = Aggregation.estimateE(lmLabels)
+        val labels  = labeled.map(_._1)
         val (evalFns, evalSlots) = Extractor.distinctSlots(cands)
-        val evalDistinct  = evalFns.map(c => sample.map(d => c.extract(d.text)))
-        val evalOutputs   = evalSlots.map(evalDistinct)
-        val (keptIdx, _)  = Aggregation.selectFunctions(evalOutputs, lmLabels, e, cfg.mode)
-        (attr, keptIdx.map(cands), e)
+        val evalDistinct = evalFns.map(c => sample.map(d => c.extract(d.text)))
+        (AttrPlan(attr, cands, Some(labels), evalSlots.map(evalDistinct), Aggregation.estimateE(labels)),
+          synthTokens, labeled.map(_._2).sum)
       }
     }
 
-    val active = plan.filter(_._2.nonEmpty)
+    CodePlan(schema, planned.map(_._1), lm, Map("schema" -> schemaTokens,
+      "synthesis" -> planned.map(_._2).sum, "eval" -> planned.map(_._3).sum))
+  }
 
-    // -- 3. one pass over the lake applying each distinct surviving function
-    // once per document; attributes' vote slots index into its outputs ------
-    val activeAttrs = active.map(_._1)
-    val (lakeFns, lakeSlots) = Extractor.distinctSlots(active.flatMap(_._2))
-    val attrSlots: Seq[IndexedSeq[Int]] = {
-      val ends = active.map(_._2.size).scanLeft(0)(_ + _)
-      ends.zip(ends.tail).map { case (from, until) => lakeSlots.slice(from, until) }
-    }
+  /** One view per mode, in `modes` order, from one lake pass that runs each
+    * distinct function any mode keeps once per document.
+    */
+  def apply(spark: SparkSession, plan: CodePlan, docs: DataFrame,
+            modes: Seq[Aggregation.Mode]): Seq[StructuredView] = {
+
+    // -- 1. per mode, the attributes that keep at least one function --------
+    val kept: Seq[Seq[(AttrPlan, Seq[Extractor])]] =
+      modes.map(m => plan.attrs.map(a => (a, a.keep(m))).filter(_._2.nonEmpty))
+
+    // -- 2. one pass over the lake applying each distinct kept function once
+    // per document; every vote slot indexes into its outputs ----------------
+    val lakeFns    = kept.flatten.flatMap(_._2).distinct.toIndexedSeq
+    val slotOf     = lakeFns.zipWithIndex.toMap
     val outputsUdf = udf { (text: String) => lakeFns.map(_.extract(text)) }
     val outputs: Array[(String, IndexedSeq[String])] =
-      if (active.isEmpty) Array.empty
+      if (lakeFns.isEmpty) Array.empty
       else docs.select(col("doc_id"), outputsUdf(col("text")))
         .collect().map(r => (r.getString(0), r.getSeq[String](1).toIndexedSeq))
 
-    // -- 4. per-attribute aggregation ---------------------------------------
-    val eByAttr = active.map { case (a, _, e) => a -> e }.toMap
-    val predictions: Seq[(String, String, String)] = activeAttrs.zip(attrSlots).flatMap {
-      case (attr, slots) =>
-        val rows = outputs.toSeq.map { case (id, outs) => (id, slots.map(outs)) }
-        val preds: Map[String, String] =
-          if (cfg.singleFunction) rows.map { case (id, v) => id -> v.head }.toMap
-          else Aggregation.aggregate(rows, eByAttr(attr), cfg.mode)
-        preds.collect { case (id, v) if v.trim.nonEmpty => (id, attr, v.trim) }
+    modes.zip(kept).map { case (mode, active) =>
+      // -- 3. per-attribute aggregation --------------------------------------
+      val predictions: Seq[(AttrPlan, Seq[(String, String, String)])] = active.map { case (a, fns) =>
+        val slots = fns.map(slotOf).toIndexedSeq
+        val rows  = outputs.toSeq.map { case (id, outs) => (id, slots.map(outs)) }
+        a -> Aggregation.aggregate(rows, a.e, mode)
+          .collect { case (id, v) if v.trim.nonEmpty => (id, a.attr, v.trim) }.toSeq
+      }
+
+      // -- 4. unsupervised schema validation (prompt E.4) --------------------
+      val verdicts: Seq[(Boolean, Long)] = predictions.map { case (a, tuples) =>
+        val vals = tuples.take(5).map(_._3)
+        if (a.labels.isEmpty) (true, 0L) // Evaporate-Code trusts its function
+        else if (vals.isEmpty) (false, 0L)
+        else plan.lm.validateAttr(a.attr, vals)
+      }
+
+      val finalTuples = predictions.zip(verdicts).flatMap { case ((_, t), (ok, _)) => if (ok) t else Nil }
+      val breakdown   = plan.tokens + ("validate" -> verdicts.map(_._2).sum)
+      StructuredView(StructuredView.tuplesDf(spark, finalTuples), plan.schema,
+        breakdown.values.sum, breakdown)
     }
-
-    // -- 5. unsupervised schema validation (prompt E.4) ----------------------
-    var validateTokens = 0L
-    val validAttrs: Set[String] =
-      if (!cfg.validate || cfg.singleFunction) activeAttrs.toSet
-      else activeAttrs.filter { a =>
-        val vals = predictions.iterator.collect { case (_, `a`, v) => v }.take(5).toSeq
-        if (vals.isEmpty) false
-        else {
-          val (ok, t) = lm.validateAttr(a, vals)
-          validateTokens += t
-          ok
-        }
-      }.toSet
-
-    val finalTuples = predictions.filter { case (_, a, _) => validAttrs.contains(a) }
-    val table = StructuredView.tuplesDf(spark, finalTuples)
-
-    val breakdown = Map(
-      "schema" -> schemaTokens, "synthesis" -> synthTokens,
-      "eval" -> evalTokens, "validate" -> validateTokens)
-    StructuredView(table, schemaRanked, breakdown.values.sum, breakdown)
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
 import repro.docs.{Naming, Setting}
 import repro.llm.{LmPair, Profile, SimLM}
@@ -27,32 +28,15 @@ object EvaporateDirect {
       val r = lm.openExtract(id, text)
       DirectOut(r.pairs, r.tokens)
     }
-
-    val extracted = docs
-      .select(col("doc_id"), extractUdf(col("doc_id"), col("text")) as "out")
-      .cache()
-
-    val tokens = extracted.agg(coalesce(sum(col("out.tokens")), lit(0L))).collect()(0).getLong(0)
-
-    val normAttr = udf((s: String) => Naming.normalize(s))
-    val tuples = extracted
-      .select(col("doc_id"), explode(col("out.pairs")) as "p")
-      .select(col("doc_id"), normAttr(col("p.attr")) as "attr", trim(col("p.value")) as "value")
-      .where(col("value") =!= "")
-
-    // Rank attributes by how many documents mention them (§3.1: prioritize
-    // head attributes) and keep the top-k for the reported table.
-    val ranked = tuples.groupBy("attr")
-      .agg(countDistinct(col("doc_id")) as "freq")
-      .orderBy(desc("freq"), asc("attr"))
-      .collect().map(_.getString(0)).toSeq
-
-    val top   = ranked.take(k)
-    val table = tuples.where(col("attr").isin(top: _*)).cache()
-    table.count() // materialize before dropping the upstream cache
-    extracted.unpersist()
-
-    StructuredView(table, ranked, tokens, Map("direct" -> tokens))
+    view(docs, extractUdf, "direct") { tuples =>
+      // Rank attributes by how many documents mention them (§3.1: prioritize
+      // head attributes) and keep the top-k for the reported table.
+      val ranked = tuples.groupBy("attr")
+        .agg(countDistinct(col("doc_id")) as "freq")
+        .orderBy(desc("freq"), asc("attr"))
+        .collect().map(_.getString(0)).toSeq
+      (tuples.where(col("attr").isin(ranked.take(k): _*)), ranked)
+    }
   }
 
   /** ClosedIE variant: the schema is given; prompt the LLM to extract each
@@ -68,21 +52,32 @@ object EvaporateDirect {
       }
       DirectOut(results.map(_._1), results.map(_._2).sum)
     }
+    view(docs, extractUdf, "closed")(tuples => (tuples, attrs.map(Naming.normalize)))
+  }
 
+  /** The extraction pipeline both variants share: `extractUdf` over every
+    * document, cached once; its token sum; its pairs as normalised, trimmed,
+    * non-empty `(doc_id, attr, value)` tuples; `rank` picks the tuples to
+    * report and the schema.
+    */
+  private def view(docs: DataFrame, extractUdf: UserDefinedFunction, call: String)(
+      rank: DataFrame => (DataFrame, Seq[String])): StructuredView = {
     val extracted = docs
       .select(col("doc_id"), extractUdf(col("doc_id"), col("text")) as "out")
       .cache()
     val tokens = extracted.agg(coalesce(sum(col("out.tokens")), lit(0L))).collect()(0).getLong(0)
 
     val normAttr = udf((s: String) => Naming.normalize(s))
-    val table = extracted
+    val tuples = extracted
       .select(col("doc_id"), explode(col("out.pairs")) as "p")
       .select(col("doc_id"), normAttr(col("p.attr")) as "attr", trim(col("p.value")) as "value")
       .where(col("value") =!= "")
-      .cache()
-    table.count()
+
+    val (reported, schema) = rank(tuples)
+    val table = reported.cache()
+    table.count() // materialize before dropping the upstream cache
     extracted.unpersist()
 
-    StructuredView(table, attrs.map(Naming.normalize), tokens, Map("closed" -> tokens))
+    StructuredView(table, schema, tokens, Map(call -> tokens))
   }
 }

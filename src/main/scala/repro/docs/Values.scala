@@ -76,14 +76,6 @@ object Values {
     s"$m $d, $y"
   }
 
-  /** "2023-01-26" */
-  def dateIso(rng: Rng, yearLo: Int = 1996, yearHi: Int = 2022): String = {
-    val y = yearLo + rng.derive("y").int(yearHi - yearLo + 1)
-    val m = 1 + rng.derive("m").int(12)
-    val d = 1 + rng.derive("d").int(28)
-    f"$y%04d-$m%02d-$d%02d"
-  }
-
   /** Email-header date: "Mon, 14 May 2001 16:39:00 -0700 (PDT)" */
   def dateRfc(rng: Rng): String = {
     val dow = rng.derive("dw").pick(Vector("Mon", "Tue", "Wed", "Thu", "Fri"))

@@ -227,15 +227,16 @@ object Tables {
   final case class T4Row(group: String, mv: Double, ws: Double,
                          wsFilter: Double, wsFull: Double)
 
-  /** Aggregation ablation: MV / WS / WS+Filter / WS+Abstain+Filter. */
+  /** Aggregation ablation: MV / WS / WS+Filter / WS+Abstain+Filter, all
+    * four from one plan and one lake pass per setting.
+    */
   def table4(spark: SparkSession): Seq[T4Row] = {
     val modes = Seq(Aggregation.MajorityVote, Aggregation.WsRaw,
       Aggregation.WsFilter, Aggregation.WsFull)
     groupMeans(Corpora.all.map { s =>
       val (docs, gold) = lake(spark, s)
-      s -> modes.map { m =>
-        Harness.codeOpen(spark, s, docs, gold, Profile.davinci, Seed, CodeConfig(mode = m)).prf.f1
-      }
+      val plan = EvaporateCode.plan(s, Profile.davinci, Seed, s.goldAttrs.size)
+      s -> EvaporateCode.apply(spark, plan, docs, modes).map(v => Metrics.pairF1(v.table, gold).f1)
     }).map { case (g, Seq(mv, ws, wsf, full)) => T4Row(g, pct(mv), pct(ws), pct(wsf), pct(full)) }
   }
 

@@ -5,9 +5,11 @@ import java.security.MessageDigest
 import java.util.HexFormat
 import scala.collection.mutable
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.docs.{Corpora, DocLake, Setting}
-import repro.eval.Harness
+import repro.eval.{Harness, Metrics}
+import repro.fn.Extractor
 import repro.llm.Profile
 import repro.ws.Aggregation
 
@@ -59,12 +61,10 @@ class EndToEndSpec extends SparkSpec {
 
   test("aggregation ablation ordering holds on FDA: MV <= WS-filter <= full Algorithm 1") {
     val (docs, gold) = lake(Corpora.fda)
-    def f1(mode: Aggregation.Mode) =
-      Harness.codeOpen(spark, Corpora.fda, docs, gold, Profile.davinci, seed,
-        CodeConfig(mode = mode)).prf.f1
-    val mv = f1(Aggregation.MajorityVote)
-    val wf = f1(Aggregation.WsFilter)
-    val full = systems(Corpora.fda)._3.prf.f1 // Code+ runs full Algorithm 1 by default
+    val plan = EvaporateCode.plan(Corpora.fda, Profile.davinci, seed, Corpora.fda.goldAttrs.size)
+    val Seq(mv, wf, full) = EvaporateCode.apply(spark, plan, docs,
+      Seq(Aggregation.MajorityVote, Aggregation.WsFilter, Aggregation.WsFull))
+      .map(v => Metrics.pairF1(v.table, gold).f1)
     assert(mv <= wf + 0.02, s"mv=$mv wsFilter=$wf")
     assert(wf <= full + 0.02, s"wsFilter=$wf full=$full")
     assert(full > mv, s"full=$full mv=$mv")
@@ -167,6 +167,53 @@ class EndToEndSpec extends SparkSpec {
     assert(at(1) == ((direct, plus)))
     assert(at(64) == ((direct, plus)))
     assert(digests(docs.repartition(7)) == ((direct, plus)))
+  }
+
+  private val allModes =
+    Seq(Aggregation.MajorityVote, Aggregation.WsRaw, Aggregation.WsFilter, Aggregation.WsFull)
+
+  for (setting <- Seq(Corpora.fda, Corpora.movieSites.head)) {
+    val k = setting.goldAttrs.size
+
+    test(s"${setting.name}: one plan applied under every mode matches run in each mode") {
+      val (docs, _) = lake(setting)
+      val views = EvaporateCode.apply(spark,
+        EvaporateCode.plan(setting, Profile.davinci, seed, k), docs, allModes)
+      allModes.zip(views).foreach { case (mode, v) =>
+        val run = EvaporateCode.run(spark, setting, docs, Profile.davinci, seed, k, CodeConfig(mode = mode))
+        assert(digest(v) == digest(run), mode.toString)
+      }
+    }
+
+    test(s"${setting.name}: one plan applied to the 10- and 40-doc lakes spends the same plan tokens") {
+      val (docs40, _) = lake(setting)
+      val docs10 = Harness.restrict(docs40, Harness.sampleIds(setting, 10))
+      val plan = EvaporateCode.plan(setting, Profile.davinci, seed, k)
+      val Seq(v10, v40) =
+        Seq(docs10, docs40).map(EvaporateCode.apply(spark, plan, _, Seq(Aggregation.WsFull)).head)
+      val planCalls = Seq("schema", "synthesis", "eval")
+      assert(planCalls.map(v10.tokenBreakdown) == planCalls.map(v40.tokenBreakdown))
+      assert(planCalls.map(v40.tokenBreakdown) == planCalls.map(plan.tokens))
+      assert(v10.table.count() < v40.table.count())
+    }
+  }
+
+  test("an attribute whose candidates are all Broken gives no tuples, and the others are unchanged") {
+    val setting = Corpora.fda
+    val (docs, _) = lake(setting)
+    val plan = EvaporateCode.plan(setting, Profile.davinci, seed, setting.goldAttrs.size)
+    val a = plan.attrs.head
+    val broken = a.copy(candidates = a.candidates.map(_ => Extractor.Broken("syntax error")),
+      evalOutputs = a.evalOutputs.map(_.map(_ => "")))
+    val before = EvaporateCode.apply(spark, plan, docs, allModes)
+    val after = EvaporateCode.apply(spark, plan.copy(attrs = broken +: plan.attrs.tail), docs, allModes)
+    def own(v: StructuredView)    = v.table.where(col("attr") === a.attr)
+    def others(v: StructuredView) = v.table.where(col("attr") =!= a.attr).collect().toSet
+    assert(before.exists(!own(_).isEmpty), s"${a.attr} must be extracted before its candidates break")
+    allModes.lazyZip(before).lazyZip(after).foreach { (mode, b, v) =>
+      assert(own(v).isEmpty, mode.toString)
+      assert(others(v).nonEmpty && others(v) == others(b), mode.toString)
+    }
   }
 
   test("an empty lake gives empty views and finite token counts from Direct and Code+") {

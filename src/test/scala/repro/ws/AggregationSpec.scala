@@ -138,6 +138,17 @@ class AggregationSpec extends AnyFunSuite {
     assert(correct >= 60, s"correct=$correct")
   }
 
+  test("a single surviving function's output is the prediction, in every mode and regime") {
+    val outs = IndexedSeq("alpha", "", "beta", "alpha", "", "gamma delta", "beta")
+    val r = outs.zipWithIndex.map { case (o, i) => (s"d$i", IndexedSeq(o)) }
+    for (mode <- Seq(MajorityVote, WsRaw, WsFilter, WsFull); e <- Seq(0.0, 1.0)) {
+      val preds = aggregate(r, e, mode)
+      assert(preds.keySet == r.map(_._1).toSet)
+      // An empty output predicts no value ("") whether it is a vote or an abstention.
+      r.foreach { case (id, v) => assert(preds(id) == v.head, s"$mode e=$e $id") }
+    }
+  }
+
   test("aggregate on empty input is empty") {
     assert(aggregate(Nil, 1.0, WsFull).isEmpty)
   }
