@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.docs.{DocLake, Naming, Setting}
-import repro.fn.{Extractor, Synthesizer}
+import repro.fn.{Extractor, ExtractorSet, Synthesizer}
 import repro.llm.{Profile, SimLM}
 import repro.util.Rng
 import repro.ws.Aggregation
@@ -100,10 +100,10 @@ object EvaporateCode {
           profile, seed, cfg.prompts)
         val labeled = sample.map(d => lm.closedExtract(d.id, d.text, attr))
         val labels  = labeled.map(_._1)
-        val (evalFns, evalSlots) = Extractor.distinctSlots(cands)
-        val evalDistinct = evalFns.map(c => sample.map(d => c.extract(d.text)))
-        (AttrPlan(attr, cands, Some(labels), evalSlots.map(evalDistinct), Aggregation.estimateE(labels)),
-          synthTokens, labeled.map(_._2).sum)
+        val candSet = new ExtractorSet(cands)
+        val perDoc  = sample.map(d => candSet.extract(d.text))
+        (AttrPlan(attr, cands, Some(labels), cands.indices.map(i => perDoc.map(_(i))),
+          Aggregation.estimateE(labels)), synthTokens, labeled.map(_._2).sum)
       }
     }
 
@@ -121,11 +121,12 @@ object EvaporateCode {
     val kept: Seq[Seq[(AttrPlan, Seq[Extractor])]] =
       modes.map(m => plan.attrs.map(a => (a, a.keep(m))).filter(_._2.nonEmpty))
 
-    // -- 2. one pass over the lake applying each distinct kept function once
-    // per document; every vote slot indexes into its outputs ----------------
+    // -- 2. one pass over the lake evaluating the distinct kept functions as
+    // one set per document; every vote slot indexes into its outputs --------
     val lakeFns    = kept.flatten.flatMap(_._2).distinct.toIndexedSeq
     val slotOf     = lakeFns.zipWithIndex.toMap
-    val outputsUdf = udf { (text: String) => lakeFns.map(_.extract(text)) }
+    val lakeSet    = new ExtractorSet(lakeFns)
+    val outputsUdf = udf { (text: String) => lakeSet.extract(text) }
     val outputs: Array[(String, IndexedSeq[String])] =
       if (lakeFns.isEmpty) Array.empty
       else docs.select(col("doc_id"), outputsUdf(col("text")))

@@ -1,6 +1,12 @@
 package repro.fn
 
+import scala.collection.mutable
+import scala.util.control.NonFatal
+import scala.util.matching.Regex
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.EvaporateCode
 import repro.docs.{Corpora, DocGen}
 import repro.fn.Extractor._
 import repro.llm.{Profile, SimLM}
@@ -145,6 +151,8 @@ class ExtractorSpec extends AnyFunSuite {
 
   test("stripTags collapses markup and whitespace") {
     assert(stripTags("<b>a</b>   <i>b</i>") == "a b")
+    for (s <- Seq("", " x\t\n<br/>y ", "a < b > c", "<a href=\"/g\">Noir</a>\r\n  x", "<<>>", "\u00a0<p>"))
+      assert(stripTags(s) == s.replaceAll("<[^>]*>", " ").replaceAll("\\s+", " ").trim, s)
   }
 
   test("all extractors are Serializable (Spark closure requirement)") {
@@ -168,27 +176,36 @@ class ExtractorSpec extends AnyFunSuite {
     val copies = all.map(_ => ois.readObject().asInstanceOf[Extractor])
     assert(copies == all)
     assert(copies.map(_.extract(doc)) == before)
+
+    // The lake pass ships the kept functions as one set.
+    val setBytes = new java.io.ByteArrayOutputStream()
+    val setOut   = new java.io.ObjectOutputStream(setBytes)
+    val set      = new ExtractorSet(all)
+    assert(set.extract(doc) == before)
+    setOut.writeObject(set)
+    setOut.close()
+    val setCopy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(setBytes.toByteArray))
+      .readObject().asInstanceOf[ExtractorSet]
+    assert(setCopy.extract(doc) == before)
   }
 
   private val seed     = 42L
   private val settings = Seq(Corpora.fda, Corpora.byName("swde-movie-imdb"))
 
-  test("distinctSlots runs each distinct function once and fans its output out to every slot") {
+  test("ExtractorSet outputs equal each member's extract; equal members agree") {
     val fda = KeyColon("510(k) Number", caseInsensitive = false, continuation = false)
     val fns: Seq[Extractor] = Seq(
       Sloppy(fda, 0, "g"), Broken("generation error"), fda, TagRow("Director", true, true),
       Sloppy(fda, 0, "g"), TitleBefore(" - IMDb"), Broken("generation error"), fda,
       TagRow("Director", true, true), Broken("other"))
-    val (distinct, slots) = distinctSlots(fns)
-    assert(distinct.size == fns.distinct.size && distinct.size == 6)
-    assert(slots.size == fns.size)
+    val set = new ExtractorSet(fns)
 
     var nonEmpty = 0
     for (setting <- settings; d <- DocGen.corpus(setting, 10, seed)) {
-      val plain = fns.map(_.extract(d.text))
-      val outs  = distinct.map(_.extract(d.text))
-      assert(slots.map(outs) == plain, s"${setting.name} ${d.id}")
-      nonEmpty += plain.count(_.nonEmpty)
+      val outs = set.extract(d.text)
+      assert(outs == fns.map(_.extract(d.text)), s"${setting.name} ${d.id}")
+      for (i <- fns.indices; j <- fns.indices if fns(i) == fns(j)) assert(outs(i) == outs(j))
+      nonEmpty += outs.count(_.nonEmpty)
     }
     assert(nonEmpty > 0, "the documents must exercise the functions")
   }
@@ -204,17 +221,169 @@ class ExtractorSpec extends AnyFunSuite {
         val labels     = sample.map(d => lm.closedExtract(d.id, d.text, spec.name)._1)
         val e          = Aggregation.estimateE(labels)
         val plain      = cands.map(c => sample.map(d => c.extract(d.text)))
-        val (distinct, slots) = distinctSlots(cands)
-        val outs       = distinct.map(c => sample.map(d => c.extract(d.text)))
-        val dedup      = slots.map(outs)
+        val set        = new ExtractorSet(cands)
+        val perDoc     = sample.map(d => set.extract(d.text))
+        val dedup      = cands.indices.map(i => perDoc.map(_(i)))
         assert(dedup == plain)
         for (mode <- modes)
           assert(Aggregation.selectFunctions(dedup, labels, e, mode) ==
             Aggregation.selectFunctions(plain, labels, e, mode), s"${setting.name} ${spec.name} $mode")
         candidates += cands.size
-        distinctCandidates += distinct.size
+        distinctCandidates += cands.distinct.size
       }
     }
     assert(distinctCandidates < candidates, "the synthesized pools must hold duplicates")
+  }
+
+  test("null and empty text give \"\" for every kind, alone and in a mixed set") {
+    val all: Seq[Extractor] = Seq(
+      Broken("x"), KeyColon("A", true, true), KeyColon("", false, false), RegexCapture("(a*)"),
+      RegexCapture("x?"), RegexCapture("(unclosed"), Between("", ""), Between("a", "b"),
+      TagRow("L", true, true), TagRow("", false, false), TagRow(" <odd> ", true, false),
+      MetaContent("p"), TitleBefore("-"), HrefAnchor("/x/"), Sloppy(KeyColon("A", false, false), 0, "g"),
+      Sloppy(Between("", ""), 2, "g"))
+    for (text <- Seq(null, "")) {
+      assert(all.map(_.extract(text)) == all.map(_ => ""), s"text = $text")
+      assert(new ExtractorSet(all).extract(text) == all.map(_ => ""), s"text = $text")
+    }
+  }
+
+  // ------------------------------------------ the shared scan against regexes
+
+  /** `KeyColon` and `TagRow` as the regexes that define them, kept as the
+    * reference the shared scan must equal; every other kind runs as itself.
+    */
+  private object Reference {
+    private val compiled = mutable.HashMap.empty[String, Regex]
+    private def regex(p: String): Regex = compiled.getOrElseUpdate(p, new Regex(p))
+
+    private def keyColon(k: KeyColon, text: String): String = {
+      val flags = if (k.caseInsensitive) "(?im)" else "(?m)"
+      regex(flags + "^" + Regex.quote(k.label) + ":[ \\t]*(.*)$").findFirstMatchIn(text) match {
+        case None => ""
+        case Some(m) =>
+          var value = m.group(1)
+          if (k.continuation) {
+            val rest  = text.substring(m.end).stripPrefix("\r").stripPrefix("\n")
+            val lines = rest.split("\n", -1).iterator
+            val sb    = new StringBuilder(value)
+            var go    = true
+            while (go && lines.hasNext) {
+              val l = lines.next()
+              if (l.startsWith("\t") || l.startsWith("    ")) sb.append(" ").append(l.trim)
+              else go = false
+            }
+            value = sb.toString
+          }
+          value
+      }
+    }
+
+    private def tagRow(t: TagRow, text: String): String = {
+      val flags = if (t.caseInsensitive) "(?is)" else "(?s)"
+      val vt    = Regex.quote(t.valueTag)
+      regex(flags + ">\\s*" + Regex.quote(t.label) + "\\s*</[a-z0-9]+>\\s*<" + vt + "[^>]*>(.*?)</" + vt + ">")
+        .findFirstMatchIn(text) match {
+        case None    => ""
+        case Some(m) => if (t.stripMarkup) stripTags(m.group(1)) else m.group(1).trim
+      }
+    }
+
+    def extract(f: Extractor, text: String): String = {
+      val raw =
+        try f match {
+          case k: KeyColon => keyColon(k, text)
+          case t: TagRow   => tagRow(t, text)
+          case Sloppy(inner, mode, extra) =>
+            val base = extract(inner, text)
+            if (base.isEmpty) ""
+            else mode match {
+              case 0 => base + " " + extra
+              case 1 => base.split("\\s+").headOption.getOrElse("")
+              case _ => extra + " " + base
+            }
+          case other => other.extract(text)
+        } catch { case NonFatal(_) => "" }
+      if (raw == null) "" else raw.trim
+    }
+  }
+
+  /** Checks `fns` as one set, as a random subset and one by one against the
+    * reference on `text`; returns the number of non-empty outputs.
+    */
+  private def checkAgainstReference(fns: Seq[Extractor], text: String, subsetSeed: Long, clue: => String): Int = {
+    val expected = fns.map(Reference.extract(_, text))
+    val outs     = new ExtractorSet(fns).extract(text)
+    for (i <- fns.indices)
+      assert(outs(i) == expected(i), s"$clue: ${fns(i).describe} on ${text.take(400)}")
+    val subset = Gen.someOf(fns).apply(Gen.Parameters.default, Seed(subsetSeed)).get.toSeq
+    assert(new ExtractorSet(subset).extract(text) == subset.map(Reference.extract(_, text)), clue)
+    for (i <- fns.indices by 7) assert(fns(i).extract(text) == expected(i), s"$clue: ${fns(i).describe}")
+    expected.count(_.nonEmpty)
+  }
+
+  test("property: kept sets equal the regex reference on rendered documents of all 16 settings") {
+    assert(Corpora.all.size == 16)
+    var nonEmpty = 0
+    for ((setting, si) <- Corpora.all.zipWithIndex) {
+      val plan = EvaporateCode.plan(setting, Profile.davinci, seed, setting.goldAttrs.size)
+      val sets = Seq(Aggregation.MajorityVote, Aggregation.WsFull)
+        .map(m => plan.attrs.flatMap(_.keep(m)).distinct)
+      val doc = for (idx <- Gen.choose(0L, 1000000L); lakeSeed <- Gen.choose(1L, 1000L))
+        yield DocGen.render(setting, idx, lakeSeed)
+      for (i <- 0 until 25; fns <- sets) {
+        val d = doc.apply(Gen.Parameters.default, Seed(si * 1000L + i)).get
+        nonEmpty += checkAgainstReference(fns, d.text, i, s"${setting.name} ${d.id}")
+      }
+    }
+    assert(nonEmpty > 0, "the documents must exercise the kept functions")
+  }
+
+  private val labels = Seq("Date", "Date Received", "date", "DATE", "Time: UTC", "Time", "\u00c9mission",
+    "\u00e9mission", "key", "Key", "\u212aey", "a<b", "x>y", "<b>", " Pad", "Pad ", "Genre", "GENRE",
+    "510(k) Number", "")
+  private val lineEnds = Seq("\n", "\r\n", "\r", "\u0085", "\u2028", "\u2029", "\n\n", "")
+
+  /** Every `KeyColon` and `TagRow` over `labels`, and some `Sloppy` wrappers. */
+  private val adversarialFns: Seq[Extractor] = {
+    val base = labels.flatMap { l =>
+      for (ci <- Seq(false, true); flag <- Seq(false, true); vt <- Seq("td", "dd"))
+        yield Seq(KeyColon(l, ci, flag), TagRow(l, ci, flag, vt))
+    }.flatten.distinct
+    base ++ base.zipWithIndex.collect { case (f, i) if i % 5 == 0 => Sloppy(f, i % 3, "g") }
+  }
+
+  /** Texts that hold each hard case at least once. */
+  private val handWritten = Seq(
+    "Date: crlf\r\nDate Received: cr\rTime: UTC: colon\u0085key: nel\u2028\u212aey: kelvin\u2029" +
+      "\u00c9mission:\tupper\n\u00e9mission: \t lower\nKEY:tab\n",
+    "Date Received: first\nDate: second\nDate: repeated\ndate: lower\nDATE: upper\r\n\tfolded\n    also\n",
+    "<tr><TH>Genre</TH><TD>Drama</TD></tr><tr><th>GENRE</th><td>Upper</td></tr>",
+    "<tr><th>Genre</th><dd>wrong tag</dd></tr><tr><th>Genre</th><td>later <b>match</b></td></tr>",
+    "<tr><th>a<b</th><td>lt</td></tr><tr><th> x>y </th><td>gt</td></tr><tr><th><b></th><dd>b</dd></tr>",
+    "<tr><th>\n Pad </th><td>pad</td></tr><p>> Date</p> Date: inline\r\n: empty label\n")
+
+  test("property: sets equal the regex reference on adversarial texts") {
+    val piece: Gen[String] = Gen.frequency(
+      4 -> (for {
+        l <- Gen.oneOf(labels); sep <- Gen.oneOf("", " ", "\t", " \t ", "   ")
+        v <- Gen.oneOf("v1", "two words", "a:b", "<b>bold</b> tail", "", "  pad  "); e <- Gen.oneOf(lineEnds)
+      } yield l + ":" + sep + v + e),
+      2 -> (for {
+        ind <- Gen.oneOf("\t", "    ", "  "); v <- Gen.oneOf("more", "x y", ""); e <- Gen.oneOf(lineEnds)
+      } yield ind + v + e),
+      4 -> (for {
+        l <- Gen.oneOf(labels); t <- Gen.oneOf("th", "TH", "span", "b1", "x-y")
+        vt <- Gen.oneOf("td", "TD", "dd"); close <- Gen.oneOf("td", "TD", "dd")
+        ws <- Gen.listOfN(3, Gen.oneOf("", "", " ", "\n ", "\t")); attr <- Gen.oneOf("", " class=\"v\"")
+        v  <- Gen.oneOf("Drama", "<a href=\"/g\">Noir</a>  x", "", " y ")
+      } yield s"<tr><$t>${ws(0)}$l${ws(1)}</$t>${ws(2)}<$vt$attr>$v</$close></tr>"),
+      2 -> Gen.oneOf("<tr>", "</tr>", ">", "<", "</", "not ", "Date", ":", "\t", " ", "\r", "\n"))
+    val text = Gen.choose(1, 14).flatMap(Gen.listOfN(_, piece)).map(_.mkString)
+    val texts = handWritten ++ (0 until 250).map(i => text.apply(Gen.Parameters.default, Seed(i.toLong)).get)
+    var nonEmpty = 0
+    for ((t, i) <- texts.zipWithIndex)
+      nonEmpty += checkAgainstReference(adversarialFns, t, i, s"text $i")
+    assert(nonEmpty > 500, "the texts must exercise the functions")
   }
 }
