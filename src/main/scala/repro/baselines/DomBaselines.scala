@@ -29,6 +29,10 @@ import repro.util.Rng
   */
 object DomBaselines {
 
+  private val LeafRow =
+    new Regex("(?s)<th[^>]*>\\s*([^<>]{1,60}?)\\s*</th>\\s*<(td|dd|div|span)[^>]*>(.*?)</\\2>")
+  private val FirstLeaf = new Regex(">([^<>]+)<")
+
   /** (labelText, valueText) pairs for every label/value leaf row.
     *
     * These systems assume an attribute value is a *single leaf node* of the
@@ -36,21 +40,18 @@ object DomBaselines {
     * nested spans/anchors only the first leaf's text is extracted, so
     * infobox-style compound attributes come back truncated.
     */
-  def leafPairs(html: String): Seq[(String, String)] = {
-    val pat = new Regex(
-      "(?s)<th[^>]*>\\s*([^<>]{1,60}?)\\s*</th>\\s*<(td|dd|div|span)[^>]*>(.*?)</\\2>")
-    pat.findAllMatchIn(html).map { m =>
+  def leafPairs(html: String): Seq[(String, String)] =
+    LeafRow.findAllMatchIn(html).map { m =>
       val inner = m.group(3)
       val value =
         if (!inner.contains("<")) inner.trim
         else {
           val beforeTag = inner.takeWhile(_ != '<').trim
           if (beforeTag.nonEmpty) beforeTag
-          else new Regex(">([^<>]+)<").findFirstMatchIn(inner).map(_.group(1).trim).getOrElse("")
+          else FirstLeaf.findFirstMatchIn(inner).map(_.group(1).trim).getOrElse("")
         }
       (m.group(1).trim, value)
     }.filter(_._2.nonEmpty).toSeq
-  }
 
   sealed trait Model {
     def name: String

@@ -34,16 +34,23 @@ object QaSpanBaseline {
   }
 
   /** Extract `attr` from a raw document (TXT or HTML). */
-  def extract(text: String, attr: String): String = {
+  def extract(text: String, attr: String): String = extractAll(text, Seq(attr)).head
+
+  /** Extract each of `attrs` from a raw document, in `attrs` order. The
+    * document's lines are split, stripped and tokenized once for all of them.
+    */
+  def extractAll(text: String, attrs: Seq[String]): Seq[String] = {
+    val lines = text.split("\n").toSeq.map(Extractor.stripTags).filter(_.nonEmpty)
+      .map(plain => (plain, lineTokens(plain)))
+    attrs.map(answer(text, _, lines))
+  }
+
+  /** The span answering `attr` from the document's (plain line, tokens). */
+  private def answer(text: String, attr: String, lines: Seq[(String, Set[String])]): String = {
     val query = lineTokens(attr)
     if (query.isEmpty) return ""
 
-    val lines = text.split("\n").toSeq
-      .map(l => (l, Extractor.stripTags(l)))
-      .filter(_._2.nonEmpty)
-
-    val scored = lines.map { case (_, plain) =>
-      val lt      = lineTokens(plain)
+    val scored = lines.map { case (plain, lt) =>
       val overlap = query.intersect(lt).size.toDouble / query.size
       (plain, overlap)
     }
@@ -63,8 +70,7 @@ object QaSpanBaseline {
           if (afterColon.nonEmpty) afterColon
           else {
             val toks    = line.split("\\s+")
-            val qNorm   = query
-            val lastHit = toks.indices.filter(i => qNorm.contains(Naming.normalize(toks(i)))).lastOption
+            val lastHit = toks.indices.filter(i => query.contains(Naming.normalize(toks(i)))).lastOption
             lastHit.map(i => toks.drop(i + 1).mkString(" ")).getOrElse("")
           }
         spanNoise(span, text, attr)

@@ -35,7 +35,6 @@ final case class AttrSpec(
   *
   * @param group  reporting group used in the paper's tables
   *               ("FDA" | "Enron Emails" | "Wiki NBA" | "SWDE Movie" | "SWDE University")
-  * @param topic  the subject passed to the open-extraction prompt
   * @param fillerWordsPerSection size of the non-field prose per section —
   *               controls document length, hence chunk counts and token cost
   */
@@ -43,11 +42,9 @@ final case class Setting(
     name: String,
     group: String,
     format: String, // "TXT" | "HTML"
-    topic: String,
     attrs: Seq[AttrSpec],
     fillerWordsPerSection: Int,
     nSections: Int,
-    htmlSiteName: String = "",
 ) {
   require(attrs.map(_.name).distinct.size == attrs.size, s"duplicate attribute names in $name")
 

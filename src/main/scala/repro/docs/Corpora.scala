@@ -88,7 +88,7 @@ object Corpora {
              r.derive("n").pick(Vector("Pro", "Elite", "Max", "Prime")) + " System",
         Seq(kc("Proprietary Name") -> 0.8, kc("PROPRIETARY NAME", 0.35) -> 0.2), section = 5),
     )
-    Setting("fda", "FDA", "TXT", "medical devices", attrs,
+    Setting("fda", "FDA", "TXT", attrs,
       fillerWordsPerSection = 180, nSections = 6)
   }
 
@@ -135,7 +135,7 @@ object Corpora {
         r => V.personName(r.derive("p")).toLowerCase.replace(" ", "") + ".nsf",
         Seq(hdr("X-FileName") -> 1.0), section = 1),
     )
-    Setting("enron", "Enron Emails", "TXT", "emails", attrs,
+    Setting("enron", "Enron Emails", "TXT", attrs,
       fillerWordsPerSection = 40, nSections = 2)
   }
 
@@ -196,8 +196,8 @@ object Corpora {
         r => V.personName(r.derive("p")).toLowerCase.replace(" ", "") + ".com",
         Seq(row("Website", nested = false) -> 1.0), section = 5),
     )
-    Setting("wiki-nba", "Wiki NBA", "HTML", "NBA players", attrs,
-      fillerWordsPerSection = 280, nSections = 8, htmlSiteName = "Wikipedia")
+    Setting("wiki-nba", "Wiki NBA", "HTML", attrs,
+      fillerWordsPerSection = 280, nSections = 8)
   }
 
   // --------------------------------------------------------- SWDE Movie ---
@@ -275,8 +275,8 @@ object Corpora {
         r => r.derive("c").pick(Vector("USA", "UK", "France", "Canada", "Germany", "Japan")),
         Seq(row("country") -> 0.9, altRow("country") -> 0.1), section = 3),
     )
-    Setting(s"swde-movie-$siteName", "SWDE Movie", "HTML", "movies", attrs,
-      fillerWordsPerSection = 140, nSections = 6, htmlSiteName = siteName)
+    Setting(s"swde-movie-$siteName", "SWDE Movie", "HTML", attrs,
+      fillerWordsPerSection = 140, nSections = 6)
   }
 
   val movieSites: Seq[Setting] = movieSiteNames.indices.map(movieSite)
@@ -336,8 +336,8 @@ object Corpora {
         r => s"${15 + r.derive("a").int(80)}%",
         Seq(row("acceptance rate") -> 0.85, altRow("acceptance rate") -> 0.15), section = 3),
     )
-    Setting(s"swde-university-$siteName", "SWDE University", "HTML", "universities", attrs,
-      fillerWordsPerSection = 120, nSections = 5, htmlSiteName = siteName)
+    Setting(s"swde-university-$siteName", "SWDE University", "HTML", attrs,
+      fillerWordsPerSection = 120, nSections = 5)
   }
 
   val uniSites: Seq[Setting] = uniSiteNames.indices.map(uniSite)

@@ -119,12 +119,12 @@ object DocGen {
   */
 object DocParser {
 
-  final case class ParsedField(attr: String, value: String, offset: Int, variantIdx: Int)
+  final case class ParsedField(attr: String, value: String, offset: Int)
 
   def parse(setting: Setting, text: String): Seq[ParsedField] =
     setting.attrs.flatMap { a =>
-      a.variants.indices.iterator
-        .flatMap { i => a.variants(i)._1.parse(text).map { case (v, off) => ParsedField(a.name, v, off, i) } }
+      a.variants.iterator
+        .flatMap { case (style, _) => style.parse(text).map { case (v, off) => ParsedField(a.name, v, off) } }
         .take(1).toSeq
     }
 }

@@ -35,12 +35,14 @@ sealed trait Style extends Serializable {
   def complexity: Double
 
   /** True for styles rendered as HTML-DOM leaf label/value pairs — the only
-    * region DOM-based baselines (Table 2) can see.
+    * region DOM-based baselines (Table 2) can see. The baselines find those
+    * rows in the HTML themselves (`DomBaselines.leafPairs`); only tests read
+    * this flag, to check which attributes a setting hides from them.
     */
   def domLeaf: Boolean = false
 
-  /** The literal label text rendered next to the value, if any (used by the
-    * DOM baselines and by keyword search during function synthesis).
+  /** The literal label text rendered next to the value, if any. Only tests
+    * read it, to check that filler prose never contains a label.
     */
   def labelText: Option[String] = None
 }

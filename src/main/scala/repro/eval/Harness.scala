@@ -3,14 +3,13 @@ package repro.eval
 import scala.collection.mutable
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{CodeConfig, EvaporateCode, EvaporateDirect, SchemaSynthesis, StructuredView}
+import repro.core.StructuredView
 import repro.docs.{DocGen, DocLake, Setting}
-import repro.llm.{Profile, SimLM}
 import repro.util.CostModel
 
-/** Shared experiment harness: builds (and memoises) the synthetic lakes, runs
-  * each system, and computes the paper's metrics. Every bench suite and job
-  * goes through these entry points so tables are produced consistently.
+/** What the paper tables, the tests and the benchmark share: the memoised
+  * synthetic lakes, the 10-document evaluation sample, a Direct run's token
+  * cost per 10k documents, and percentage rounding.
   */
 object Harness {
 
@@ -38,52 +37,6 @@ object Harness {
 
   def restrict(df: DataFrame, ids: Seq[String]): DataFrame =
     df.where(col("doc_id").isin(ids: _*))
-
-  // ------------------------------------------------------------- systems --
-
-  final case class OpenRun(view: StructuredView, prf: Metrics.Prf)
-
-  def directOpen(spark: SparkSession, setting: Setting, docs: DataFrame,
-                 gold: DataFrame, profile: Profile, seed: Long): OpenRun = {
-    val k    = setting.goldAttrs.size
-    val view = EvaporateDirect.run(spark, setting, docs, profile, seed, k)
-    OpenRun(view, Metrics.pairF1(view.table, gold))
-  }
-
-  def codeOpen(spark: SparkSession, setting: Setting, docs: DataFrame, gold: DataFrame,
-               profile: Profile, seed: Long, cfg: CodeConfig = CodeConfig(),
-               evalIds: Option[Seq[String]] = None): OpenRun = {
-    val k    = setting.goldAttrs.size
-    val view = EvaporateCode.run(spark, setting, docs, profile, seed, k, cfg)
-    val (p, g) = evalIds match {
-      case Some(ids) => (restrict(view.table, ids), restrict(gold, ids))
-      case None      => (view.table, gold)
-    }
-    OpenRun(view, Metrics.pairF1(p, g))
-  }
-
-  def directClosed(spark: SparkSession, setting: Setting, docs: DataFrame,
-                   gold: DataFrame, profile: Profile, seed: Long): (StructuredView, Double) = {
-    val view = EvaporateDirect.runClosed(spark, setting, docs, profile, seed, setting.goldAttrs)
-    (view, Metrics.closedTextF1(spark, view.table, gold))
-  }
-
-  def codeClosed(spark: SparkSession, setting: Setting, docs: DataFrame, gold: DataFrame,
-                 profile: Profile, seed: Long, cfg: CodeConfig = CodeConfig()): (StructuredView, Double) = {
-    val view = EvaporateCode.run(spark, setting, docs, profile, seed,
-      setting.goldAttrs.size, cfg, givenSchema = Some(setting.goldAttrs))
-    (view, Metrics.closedTextF1(spark, view.table, gold))
-  }
-
-  /** Schema-identification quality (Table 5 right column): F1@k between the
-    * synthesized ranked attributes and the gold attribute names.
-    */
-  def schemaF1AtK(setting: Setting, profile: Profile, seed: Long, sampleDocs: Int = 10): Double = {
-    val lm     = SimLM(profile, setting, seed)
-    val sample = DocLake.sample(setting, sampleDocs, seed)
-    val result = SchemaSynthesis.synthesize(sample, lm)
-    Metrics.f1AtK(result.ranked, setting.goldAttrs, setting.goldAttrs.size)
-  }
 
   // ---------------------------------------------------------------- cost --
 

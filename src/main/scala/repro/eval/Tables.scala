@@ -1,7 +1,7 @@
 package repro.eval
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{CodeConfig, EvaporateCode, StructuredView}
+import repro.core.{CodeConfig, EvaporateCode, EvaporateDirect, StructuredView}
 import repro.baselines.{DomBaselines, QaSpanBaseline}
 import repro.docs.{Corpora, DocGen, Setting}
 import repro.fn.Synthesizer
@@ -32,6 +32,15 @@ object Tables {
 
   def tuplesDf(spark: SparkSession, tuples: Seq[(String, String, String)]): DataFrame =
     StructuredView.tuplesDf(spark, tuples)
+
+  /** The paper's 10-document protocol (Table 3 caption): a lake, its gold or
+    * a view restricted to the setting's first `EvalSample` documents. Direct
+    * is too expensive to run on a whole lake, so it runs on the sampled lake;
+    * Code(+) runs its functions over the whole lake and is scored on the
+    * sample, for a fair comparison.
+    */
+  private def sample(s: Setting, df: DataFrame): DataFrame =
+    Harness.restrict(df, Harness.sampleIds(s, EvalSample))
 
   // ========================================================= group means
 
@@ -80,9 +89,11 @@ object Tables {
   def table1(spark: SparkSession): Seq[T1Row] =
     groupMeans(Corpora.all.map { s =>
       val (docs, gold) = lake(spark, s)
-      val open         = Harness.codeOpen(spark, s, docs, gold, Profile.davinci, Seed)
-      val (_, closed)  = Harness.codeClosed(spark, s, docs, gold, Profile.davinci, Seed)
-      s -> Seq(closed, open.prf.recall, open.prf.precision, open.prf.f1)
+      val k      = s.goldAttrs.size
+      val open   = Metrics.pairF1(EvaporateCode.run(spark, s, docs, Profile.davinci, Seed, k).table, gold)
+      val closed = Metrics.closedTextF1(spark, EvaporateCode.run(spark, s, docs, Profile.davinci, Seed, k,
+        givenSchema = Some(s.goldAttrs)).table, gold)
+      s -> Seq(closed, open.recall, open.precision, open.f1)
     }).map { case (g, Seq(c, r, p, o)) => T1Row(g, pct(c), pct(r), pct(p), pct(o)) }
 
   def renderTable1(rows: Seq[T1Row]): String = {
@@ -122,33 +133,17 @@ object Tables {
       Seq(closed, open.f1)
     }
 
-  /** Per-site (closed Text F1, open Pair F1) of an Evaporate system.
-    *
-    * Evaporate systems are evaluated on the paper's 10-document samples
-    * (the Table 2/3 protocol — Direct is too expensive to run on full
-    * benchmarks, and Code+ is reported on the same sample for fairness).
-    * Code paths still run their synthesized functions over the full lake.
+  /** Per-site (closed Text F1, open Pair F1) of an Evaporate system, both
+    * scored on the 10-document sample: `run(site, docs, attrs)` runs it open
+    * (`attrs` = None) or closed on the given attributes.
     */
-  private def evaporateVerticalScores(spark: SparkSession, sites: Seq[Setting],
-                                      cfg: Option[CodeConfig]): Seq[Seq[Double]] =
+  private def evaporateScores(spark: SparkSession, sites: Seq[Setting],
+      run: (Setting, DataFrame, Option[Seq[String]]) => StructuredView): Seq[Seq[Double]] =
     sites.map { s =>
       val (docs, gold) = lake(spark, s, SiteDocs)
-      val ids    = Harness.sampleIds(s, EvalSample)
-      val docs10 = Harness.restrict(docs, ids)
-      val gold10 = Harness.restrict(gold, ids)
-      cfg match {
-        case None =>
-          val open        = Harness.directOpen(spark, s, docs10, gold10, Profile.davinci, Seed)
-          val (_, closed) = Harness.directClosed(spark, s, docs10, gold10, Profile.davinci, Seed)
-          Seq(closed, open.prf.f1)
-        case Some(c) =>
-          val open = Harness.codeOpen(spark, s, docs, gold, Profile.davinci, Seed, c,
-            evalIds = Some(ids))
-          val v = EvaporateCode.run(spark, s, docs, Profile.davinci, Seed,
-            s.goldAttrs.size, c, givenSchema = Some(s.goldAttrs))
-          val closed = Metrics.closedTextF1(spark, Harness.restrict(v.table, ids), gold10)
-          Seq(closed, open.prf.f1)
-      }
+      val open   = Metrics.pairF1(sample(s, run(s, docs, None).table), sample(s, gold))
+      val closed = Metrics.closedTextF1(spark, sample(s, run(s, docs, Some(s.goldAttrs)).table), sample(s, gold))
+      Seq(closed, open.f1)
     }
 
   /** SoTA comparison on the SWDE verticals. */
@@ -163,11 +158,17 @@ object Tables {
       DomBaselines.RobertaStructural, DomBaselines.DomLM).map { m =>
       row(m.name, domScores(spark, _, m))
     }
+    def direct(s: Setting, docs: DataFrame, attrs: Option[Seq[String]]): StructuredView = attrs match {
+      case None    => EvaporateDirect.run(spark, s, sample(s, docs), Profile.davinci, Seed, s.goldAttrs.size)
+      case Some(a) => EvaporateDirect.runClosed(spark, s, sample(s, docs), Profile.davinci, Seed, a)
+    }
+    def code(cfg: CodeConfig)(s: Setting, docs: DataFrame, attrs: Option[Seq[String]]): StructuredView =
+      EvaporateCode.run(spark, s, docs, Profile.davinci, Seed, s.goldAttrs.size, cfg, attrs)
     val evaporateRows = Seq(
-      ("Evaporate-Direct", None),
-      ("Evaporate-Code", Some(CodeConfig(singleFunction = true))),
-      ("Evaporate-Code+", Some(CodeConfig())),
-    ).map { case (name, cfg) => row(name, evaporateVerticalScores(spark, _, cfg)) }
+      "Evaporate-Direct" -> direct _,
+      "Evaporate-Code"   -> code(CodeConfig(singleFunction = true)) _,
+      "Evaporate-Code+"  -> code(CodeConfig()) _,
+    ).map { case (name, run) => row(name, evaporateScores(spark, _, run)) }
     baselineRows ++ evaporateRows
   }
 
@@ -191,15 +192,11 @@ object Tables {
   def table3(spark: SparkSession): Seq[T3Row] =
     groupMeans(Corpora.all.map { s =>
       val (docs, gold) = lake(spark, s)
-      val ids     = Harness.sampleIds(s, EvalSample)
-      val docs10  = Harness.restrict(docs, ids)
-      val gold10  = Harness.restrict(gold, ids)
-
-      val direct = Harness.directOpen(spark, s, docs10, gold10, Profile.davinci, Seed)
-      val plus   = Harness.codeOpen(spark, s, docs, gold, Profile.davinci, Seed,
-        evalIds = Some(ids))
-      s -> Seq(direct.prf.f1, Harness.directTokensPer10k(direct.view, EvalSample).toDouble,
-        plus.prf.f1, plus.view.tokens.toDouble)
+      val direct = EvaporateDirect.run(spark, s, sample(s, docs), Profile.davinci, Seed, s.goldAttrs.size)
+      val plus   = EvaporateCode.run(spark, s, docs, Profile.davinci, Seed, s.goldAttrs.size)
+      s -> Seq(Metrics.pairF1(sample(s, direct.table), sample(s, gold)).f1,
+        Harness.directTokensPer10k(direct, EvalSample).toDouble,
+        Metrics.pairF1(sample(s, plus.table), sample(s, gold)).f1, plus.tokens.toDouble)
     }).map { case (g, Seq(dF1, dTok, pF1, pTok)) =>
       T3Row(g,
         pct(dF1), dTok / 1e6, CostModel.dollars(dTok.toLong),
@@ -256,19 +253,19 @@ object Tables {
   private val t5GroupOrder = Seq("FDA", "Wiki NBA", "SWDE Movie", "SWDE University", "Enron Emails")
 
   /** Alternate LLM providers: Direct / Code+ OpenIE on 10-doc samples plus
-    * schema-ID F1@k (averaged over all 16 settings).
+    * the schema-ID F1@k of the Code+ view's schema (averaged over all 16
+    * settings).
     */
   def table5(spark: SparkSession): Seq[T5Row] = {
     Seq(Profile.gpt4, Profile.claude, Profile.jumbo).map { prof =>
       val per = Corpora.all.map { s =>
         val (docs, gold) = lake(spark, s)
-        val ids    = Harness.sampleIds(s, EvalSample)
-        val docs10 = Harness.restrict(docs, ids)
-        val gold10 = Harness.restrict(gold, ids)
-        val direct = Harness.directOpen(spark, s, docs10, gold10, prof, Seed)
-        val plus   = Harness.codeOpen(spark, s, docs, gold, prof, Seed, evalIds = Some(ids))
-        val schema = Harness.schemaF1AtK(s, prof, Seed)
-        s -> Seq(direct.prf.f1, plus.prf.f1, schema)
+        val k      = s.goldAttrs.size
+        val direct = EvaporateDirect.run(spark, s, sample(s, docs), prof, Seed, k)
+        val plus   = EvaporateCode.run(spark, s, docs, prof, Seed, k)
+        s -> Seq(Metrics.pairF1(sample(s, direct.table), sample(s, gold)).f1,
+          Metrics.pairF1(sample(s, plus.table), sample(s, gold)).f1,
+          Metrics.f1AtK(plus.schema, s.goldAttrs, k))
       }
       val perGroup = groupMeans(per, t5GroupOrder).map(_._2)
       T5Row(prof.model, perGroup.map(m => pct(m(0))), perGroup.map(m => pct(m(1))),
@@ -289,9 +286,13 @@ object Tables {
     sb.toString
   }
 
-  /** Davinci's schema F1@k (§4.4.2 reference value, 71.9 in the paper). */
+  /** Davinci's schema F1@k (§4.4.2 reference value, 71.9 in the paper).
+    * A plan of `k` = 0 attributes is schema synthesis alone.
+    */
   def davinciSchemaF1(spark: SparkSession): Double =
-    pct(Corpora.all.map(s => Harness.schemaF1AtK(s, Profile.davinci, Seed)).sum / Corpora.all.size)
+    pct(Corpora.all.map { s =>
+      Metrics.f1AtK(EvaporateCode.plan(s, Profile.davinci, Seed, k = 0).schema, s.goldAttrs, s.goldAttrs.size)
+    }.sum / Corpora.all.size)
 
   // ================================================================ Table 6
 
@@ -302,9 +303,8 @@ object Tables {
     groupMeans(Corpora.all.map { s =>
       val docs      = DocGen.corpus(s, LakeDocs, Seed)
       val (_, gold) = lake(spark, s)
-      val tuples = docs.flatMap(d => s.goldAttrs.flatMap { a =>
-        val v = QaSpanBaseline.extract(d.text, a)
-        if (v.nonEmpty) Some((d.id, a, v)) else None
+      val tuples = docs.flatMap(d => s.goldAttrs.zip(QaSpanBaseline.extractAll(d.text, s.goldAttrs)).collect {
+        case (a, v) if v.nonEmpty => (d.id, a, v)
       })
       s -> Seq(s.goldAttrs.size.toDouble, Metrics.closedTextF1(spark, tuplesDf(spark, tuples), gold))
     }).map { case (g, Seq(k, c)) => T6Row(g, k, pct(c)) }
@@ -324,9 +324,10 @@ object Tables {
   /** Quality and cost of the LLM F's ClosedIE extraction (prompt E.2). */
   def table7(spark: SparkSession): Seq[T7Row] =
     groupMeans(Corpora.all.map { s =>
-      val (docs, gold)   = lake(spark, s)
-      val (view, closed) = Harness.directClosed(spark, s, docs, gold, Profile.davinci, Seed)
-      s -> Seq(s.goldAttrs.size.toDouble, closed, Harness.directTokensPer10k(view, LakeDocs).toDouble)
+      val (docs, gold) = lake(spark, s)
+      val view = EvaporateDirect.runClosed(spark, s, docs, Profile.davinci, Seed, s.goldAttrs)
+      s -> Seq(s.goldAttrs.size.toDouble, Metrics.closedTextF1(spark, view.table, gold),
+        Harness.directTokensPer10k(view, LakeDocs).toDouble)
     }).map { case (g, Seq(k, c, tok)) => T7Row(g, k, pct(c), tok / 1e6, CostModel.dollars(tok.toLong)) }
 
   def renderTable7(rows: Seq[T7Row]): String = {
@@ -366,8 +367,9 @@ object Tables {
       val Seq(movie, uni) = Seq(Corpora.movieSites, Corpora.uniSites).map { sites =>
         means(sites.map { s =>
           val (docs, gold) = lake(spark, s)
-          Seq(Harness.codeOpen(spark, s, docs, gold, Profile.davinci, Seed,
-            CodeConfig(perPrompt = perPrompt, prompts = prompts)).prf.f1)
+          val view = EvaporateCode.run(spark, s, docs, Profile.davinci, Seed, s.goldAttrs.size,
+            CodeConfig(perPrompt = perPrompt, prompts = prompts))
+          Seq(Metrics.pairF1(view.table, gold).f1)
         }).head
       }
       DiversityRow(name, pct(movie), pct(uni))

@@ -34,26 +34,36 @@ object CostModel {
     fixedTokens + math.round(perDoc * 10000.0)
   }
 
+  // The Figure-3 prompt geometry. Direct: every chunk of a `Window`-token
+  // context adds `PromptOverhead` prompt and `GenPerChunk` generated tokens.
+  // Code(+): schema synthesis over `SampleDocs` documents, `Candidates`
+  // synthesis prompts of ~`SynthPrompt` tokens per attribute, and `EvalDocs`
+  // D_eval labels of `ClosedPrompt` tokens plus up to a window of text.
+  private val PromptOverhead = 900L
+  private val Window         = 2400L
+  private val GenPerChunk    = 300L
+  private val SampleDocs     = 10L
+  private val Candidates     = 10L
+  private val SynthPrompt    = 1500L
+  private val EvalDocs       = 10L
+  private val ClosedPrompt   = 500L
+
   /** Token cost of Evaporate-Direct for `nDocs` documents of `docTokens`
     * tokens each (every token of every document passes through the LLM,
     * plus per-chunk prompt overhead and generation).
     */
-  def directTokens(nDocs: Long, docTokens: Long, promptOverhead: Long = 900L,
-                   window: Long = 2400L, genPerChunk: Long = 300L): Long = {
-    val chunks = math.max(1L, math.ceil(docTokens.toDouble / window).toLong)
-    nDocs * (docTokens + chunks * (promptOverhead + genPerChunk))
+  def directTokens(nDocs: Long, docTokens: Long): Long = {
+    val chunks = math.max(1L, math.ceil(docTokens.toDouble / Window).toLong)
+    nDocs * (docTokens + chunks * (PromptOverhead + GenPerChunk))
   }
 
   /** Token cost of Evaporate-Code(+) — fixed in the number of documents:
-    * schema synthesis over `sampleDocs` + per-attribute function synthesis
-    * (`candidates` prompts of ~`synthPrompt` tokens) + D_eval labeling.
+    * schema synthesis + per-attribute function synthesis + D_eval labeling.
     */
-  def codeTokens(nAttrs: Long, docTokens: Long, sampleDocs: Long = 10L,
-                 candidates: Long = 10L, synthPrompt: Long = 1500L,
-                 evalDocs: Long = 10L, closedPrompt: Long = 500L): Long = {
-    val schema = directTokens(sampleDocs, docTokens)
-    val synth  = nAttrs * candidates * synthPrompt
-    val eval   = nAttrs * evalDocs * (closedPrompt + math.min(docTokens, 2400L))
+  def codeTokens(nAttrs: Long, docTokens: Long): Long = {
+    val schema = directTokens(SampleDocs, docTokens)
+    val synth  = nAttrs * Candidates * SynthPrompt
+    val eval   = nAttrs * EvalDocs * (ClosedPrompt + math.min(docTokens, Window))
     schema + synth + eval
   }
 

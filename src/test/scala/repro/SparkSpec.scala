@@ -4,13 +4,15 @@ import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for every Spark test: one local-mode SparkSession for the whole run,
+  * also used by the bench suites and the benchmark.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM. Shuffles use 64 partitions unless
+  * SPARK_SHUFFLE_PARTITIONS says otherwise, far more than the small test
+  * lakes need, so results that depended on partitioning would show. Broadcast
+  * joins are disabled, so a join on these small inputs still runs as the
+  * shuffle join it would be on a large lake.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -44,6 +44,13 @@ class QaSpanBaselineSpec extends AnyFunSuite {
     assert(avg < 0.75, s"NBA avg F1 = $avg")
   }
 
+  test("extractAll equals one extract per attribute on documents of every setting") {
+    for (s <- Corpora.all; d <- DocGen.corpus(s, 5, seed)) {
+      val attrs = s.goldAttrs :+ "no such attribute" :+ "--"
+      assert(QaSpanBaseline.extractAll(d.text, attrs) == attrs.map(QaSpanBaseline.extract(d.text, _)), d.id)
+    }
+  }
+
   test("deterministic") {
     val d = DocGen.render(Corpora.fda, 0, seed)
     assert(QaSpanBaseline.extract(d.text, "applicant") == QaSpanBaseline.extract(d.text, "applicant"))

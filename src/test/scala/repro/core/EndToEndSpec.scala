@@ -10,7 +10,7 @@ import repro.SparkSpec
 import repro.docs.{Corpora, DocLake, Setting}
 import repro.eval.{Harness, Metrics}
 import repro.fn.Extractor
-import repro.llm.Profile
+import repro.llm.{Profile, SimLM}
 import repro.ws.Aggregation
 
 /** Integration tests asserting the paper's headline *orderings* end to end
@@ -18,23 +18,30 @@ import repro.ws.Aggregation
   * suites; these tests pin the claims that must hold at any scale.
   */
 class EndToEndSpec extends SparkSpec {
+  import EndToEndSpec.Run
 
   private val seed = 42L
 
   // Every run is seeded, so each (setting, system) run is computed once and
   // shared by the tests that assert on it; `Harness.lake` memoises the lakes.
-  private val runs = mutable.Map.empty[String, (Harness.OpenRun, Harness.OpenRun, Harness.OpenRun)]
+  private val runs = mutable.Map.empty[String, (Run, Run, Run)]
 
   private def lake(setting: Setting) = Harness.lake(spark, setting, 40, seed)
+
+  private def directRun(setting: Setting, docs: DataFrame, profile: Profile = Profile.davinci) =
+    EvaporateDirect.run(spark, setting, docs, profile, seed, setting.goldAttrs.size)
+
+  private def codeRun(setting: Setting, docs: DataFrame, profile: Profile = Profile.davinci,
+                      cfg: CodeConfig = CodeConfig()) =
+    EvaporateCode.run(spark, setting, docs, profile, seed, setting.goldAttrs.size, cfg)
 
   /** Direct, Code and Code+ (davinci, full Algorithm 1) on a 40-doc lake. */
   private def systems(setting: Setting) = runs.getOrElseUpdate(setting.name, {
     val (docs, gold) = lake(setting)
-    val direct = Harness.directOpen(spark, setting, docs, gold, Profile.davinci, seed)
-    val code = Harness.codeOpen(spark, setting, docs, gold, Profile.davinci, seed,
-      CodeConfig(singleFunction = true))
-    val plus = Harness.codeOpen(spark, setting, docs, gold, Profile.davinci, seed)
-    (direct, code, plus)
+    def scored(view: StructuredView) = Run(view, Metrics.pairF1(view.table, gold))
+    (scored(directRun(setting, docs)),
+      scored(codeRun(setting, docs, cfg = CodeConfig(singleFunction = true))),
+      scored(codeRun(setting, docs)))
   })
 
   for (setting <- Seq(Corpora.fda, Corpora.nba, Corpora.movieSites.head, Corpora.uniSites.head)) {
@@ -76,7 +83,7 @@ class EndToEndSpec extends SparkSpec {
         if (p == Profile.davinci) systems(s)._3.prf.f1
         else {
           val (docs, gold) = lake(s)
-          Harness.codeOpen(spark, s, docs, gold, p, seed).prf.f1
+          Metrics.pairF1(codeRun(s, docs, p).table, gold).f1
         }
       }.sum / 2
     }
@@ -95,16 +102,14 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("Direct tokens grow with the lake while Code+ tokens do not") {
-    val (docs40, gold40) = lake(Corpora.fda)
+    val (docs40, _) = lake(Corpora.fda)
     val (d40, _, p40) = systems(Corpora.fda)
-    val ids = Harness.sampleIds(Corpora.fda, 10)
-    val docs10 = Harness.restrict(docs40, ids)
-    val d10 = Harness.directOpen(spark, Corpora.fda, docs10,
-      Harness.restrict(gold40, ids), Profile.davinci, seed)
-    assert(d40.view.tokens > 3 * d10.view.tokens)
-    val p10 = Harness.codeOpen(spark, Corpora.fda, docs10, gold40, Profile.davinci, seed)
-    def fixed(v: repro.core.StructuredView) = v.tokens - v.tokenBreakdown("validate")
-    assert(fixed(p40.view) == fixed(p10.view))
+    val docs10 = Harness.restrict(docs40, Harness.sampleIds(Corpora.fda, 10))
+    val d10 = directRun(Corpora.fda, docs10)
+    assert(d40.view.tokens > 3 * d10.tokens)
+    val p10 = codeRun(Corpora.fda, docs10)
+    def fixed(v: StructuredView) = v.tokens - v.tokenBreakdown("validate")
+    assert(fixed(p40.view) == fixed(p10))
   }
 
   /** SHA-256 of a view's sorted `doc_id\tattr\tvalue` lines followed by its
@@ -157,10 +162,8 @@ class EndToEndSpec extends SparkSpec {
 
   test("Direct and Code+ outputs do not depend on shuffle partitions or lake partitioning") {
     val setting = Corpora.fda
-    val (docs, gold) = lake(setting)
-    def digests(d: DataFrame) = (
-      digest(Harness.directOpen(spark, setting, d, gold, Profile.davinci, seed).view),
-      digest(Harness.codeOpen(spark, setting, d, gold, Profile.davinci, seed).view))
+    val (docs, _) = lake(setting)
+    def digests(d: DataFrame) = (digest(directRun(setting, d)), digest(codeRun(setting, d)))
     val (direct, _, plus) = golden(setting.name)
     def at(partitions: Int) = withConf("spark.sql.shuffle.partitions" -> partitions.toString,
         "spark.sql.adaptive.coalescePartitions.enabled" -> "false")(digests(docs))
@@ -216,6 +219,17 @@ class EndToEndSpec extends SparkSpec {
     }
   }
 
+  test("a Code+ view's schema is schema synthesis over the plan's sample and LM (Table 5's F1@k)") {
+    for (setting <- Seq(Corpora.fda, Corpora.movieSites.head); profile <- Seq(Profile.davinci, Profile.jumbo)) {
+      val synthesized = SchemaSynthesis.synthesize(
+        DocLake.sample(setting, 10, seed), SimLM(profile, setting, seed))
+      val (docs, _) = lake(setting)
+      val viewSchema =
+        if (profile == Profile.davinci) systems(setting)._3.view.schema else codeRun(setting, docs, profile).schema
+      assert(viewSchema == synthesized.ranked, s"${setting.name} ${profile.model}")
+    }
+  }
+
   test("an empty lake gives empty views and finite token counts from Direct and Code+") {
     val setting = Corpora.fda
     val docs = DocLake.documents(spark, setting, 0, seed)
@@ -229,4 +243,9 @@ class EndToEndSpec extends SparkSpec {
     }
     assert(views.take(2).forall(_.tokens == 0L))
   }
+}
+
+object EndToEndSpec {
+  /** An open-extraction view and its Pair F1 against the lake's gold. */
+  private final case class Run(view: StructuredView, prf: Metrics.Prf)
 }
