@@ -2,6 +2,7 @@ package repro.bench
 
 import java.nio.file.{Files, Paths, StandardOpenOption}
 import repro.SparkSpec
+import repro.eval.Tables
 
 /** Shared plumbing for the per-table bench suites: each suite computes its
   * table through `repro.eval.Tables`, prints the paper-vs-measured render,
@@ -20,4 +21,12 @@ trait BenchSupport extends SparkSpec {
     Files.write(dir.resolve(s"$name.txt"), rendered.getBytes("UTF-8"),
       StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
   }
+}
+
+object BenchSupport {
+
+  /** Table 1's rows, computed once per bench JVM on the shared session:
+    * `Table1Bench` records them and `Table6Bench` compares Table 6 with them.
+    */
+  lazy val table1: Seq[Tables.T1Row] = Tables.table1(SparkSpec.shared)
 }

@@ -7,7 +7,7 @@ import repro.eval.Tables
   */
 class Table1Bench extends BenchSupport {
 
-  private lazy val rows = Tables.table1(spark)
+  private lazy val rows = BenchSupport.table1
 
   test("render and record Table 1") {
     record("table1", Tables.renderTable1(rows))

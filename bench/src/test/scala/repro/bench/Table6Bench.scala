@@ -6,7 +6,7 @@ import repro.eval.Tables
 class Table6Bench extends BenchSupport {
 
   private lazy val rows  = Tables.table6(spark)
-  private lazy val plus  = Tables.table1(spark)
+  private lazy val plus  = BenchSupport.table1
 
   test("render and record Table 6") {
     record("table6", Tables.renderTable6(rows))

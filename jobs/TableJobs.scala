@@ -6,7 +6,7 @@ import repro.eval.Tables
 /** Shared bootstrap for the per-table spark-submit entrypoints. */
 object JobSession {
   def spark(name: String): SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", "32")

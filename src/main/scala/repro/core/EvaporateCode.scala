@@ -150,9 +150,8 @@ object EvaporateCode {
       }
 
       val finalTuples = predictions.zip(verdicts).flatMap { case ((_, t), (ok, _)) => if (ok) t else Nil }
-      val breakdown   = plan.tokens + ("validate" -> verdicts.map(_._2).sum)
       StructuredView(StructuredView.tuplesDf(spark, finalTuples), plan.schema,
-        breakdown.values.sum, breakdown)
+        plan.tokens + ("validate" -> verdicts.map(_._2).sum))
     }
   }
 }

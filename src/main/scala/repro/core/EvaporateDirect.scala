@@ -78,6 +78,6 @@ object EvaporateDirect {
     table.count() // materialize before dropping the upstream cache
     extracted.unpersist()
 
-    StructuredView(table, schema, tokens, Map(call -> tokens))
+    StructuredView(table, schema, Map(call -> tokens))
   }
 }

@@ -8,17 +8,18 @@ import org.apache.spark.sql.types.{StringType, StructField, StructType}
   * @param table   extracted tuples (doc_id, attr, value), attr restricted to
   *                the system's top-k schema
   * @param schema  the full ranked attribute list the system identified
-  * @param tokens  total tokens processed by the LLM for this run — the
-  *                paper's cost metric
-  * @param tokenBreakdown tokens by call site (schema / synthesis / eval /
-  *                direct), for the cost tables
+  * @param tokenBreakdown tokens processed by the LLM for this run, by call
+  *                site (schema / synthesis / eval / validate, or direct /
+  *                closed), for the cost tables
   */
 final case class StructuredView(
     table: DataFrame,
     schema: Seq[String],
-    tokens: Long,
     tokenBreakdown: Map[String, Long],
-)
+) {
+  /** Total LLM tokens for this run, the paper's cost metric. */
+  def tokens: Long = tokenBreakdown.values.sum
+}
 
 object StructuredView {
 

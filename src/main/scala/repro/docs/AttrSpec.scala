@@ -1,5 +1,6 @@
 package repro.docs
 
+import repro.fn.ExtractorSet
 import repro.util.Rng
 
 /** Specification of one attribute of a data-lake setting.
@@ -29,6 +30,9 @@ final case class AttrSpec(
 ) {
   require(variants.nonEmpty, s"attribute '$name' needs at least one variant")
   require(coverage > 0 && coverage <= 1.0, s"attribute '$name' coverage out of range")
+
+  /** The variants' readers, in variant order: `DocParser` reads this attribute alone with them. */
+  private[docs] lazy val readers: ExtractorSet = new ExtractorSet(variants.map(_._1.reader))
 }
 
 /** One evaluation setting = one data lake (the paper has 16).
@@ -49,6 +53,9 @@ final case class Setting(
   require(attrs.map(_.name).distinct.size == attrs.size, s"duplicate attribute names in $name")
 
   def isHtml: Boolean = format == "HTML"
+
+  /** Every attribute's variant readers, in order, as one set: `DocParser` reads documents with it. */
+  private[docs] lazy val readers: ExtractorSet = new ExtractorSet(attrs.flatMap(_.variants.map(_._1.reader)))
 
   /** Gold attribute names (the `k` used for Pair-F1@k and schema F1@k). */
   def goldAttrs: Seq[String] = attrs.map(_.name)

@@ -1,5 +1,6 @@
 package repro.docs
 
+import repro.fn.ExtractorSet
 import repro.util.Rng
 
 /** A rendered document plus its ground truth.
@@ -111,20 +112,29 @@ object DocGen {
     (0L until nDocs.toLong).map(render(setting, _, seed))
 }
 
-/** Perfect "reading comprehension" over rendered documents: recovers every
-  * (attribute, value, offset) by trying each attribute's variant parsers.
-  * This is the ground the simulated LLM perceives *before* its noise
-  * processes (misses, rewordings, hallucinations) are applied — it never
-  * consults the generator's gold map directly.
+/** Perfect "reading comprehension" over rendered documents: an attribute's
+  * field is its first variant whose reader (`Style.reader`, run by the
+  * extractor interpreter) finds a value, at that reader's match start. This
+  * is the ground the simulated LLM perceives *before* its noise processes
+  * (misses, rewordings, hallucinations) are applied — it never consults the
+  * generator's gold map directly.
   */
 object DocParser {
 
   final case class ParsedField(attr: String, value: String, offset: Int)
 
+  /** Every attribute of `setting` found in `text`: one run of its readers. */
   def parse(setting: Setting, text: String): Seq[ParsedField] =
-    setting.attrs.flatMap { a =>
-      a.variants.iterator
-        .flatMap { case (style, _) => style.parse(text).map { case (v, off) => ParsedField(a.name, v, off) } }
-        .take(1).toSeq
+    fields(setting.attrs, setting.readers.hits(text))
+
+  /** `attr`'s field in `text`, read by its own variants' readers alone. */
+  def parse(attr: AttrSpec, text: String): Option[ParsedField] =
+    fields(Seq(attr), attr.readers.hits(text)).headOption
+
+  /** `hits` holds each of `attrs`' variant readers' hits, in order. */
+  private def fields(attrs: Seq[AttrSpec], hits: IndexedSeq[ExtractorSet.Hit]): Seq[ParsedField] =
+    attrs.zip(attrs.scanLeft(0)(_ + _.variants.size)).flatMap { case (a, from) =>
+      hits.slice(from, from + a.variants.size).find(_.value.nonEmpty)
+        .map(h => ParsedField(a.name, h.value, h.start))
     }
 }

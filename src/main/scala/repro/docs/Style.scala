@@ -10,8 +10,9 @@ import repro.util.Rng
   *
   * Each style knows how to:
   *   - `render` a value into document text,
-  *   - `parse` the value back out (perfect "reading comprehension", used by
-  *     the simulated LLM as its ground for extraction before noise),
+  *   - name the `reader` that reads the value back out: the extractor the
+  *     simulated LLM's perfect "reading comprehension" runs (`DocParser`),
+  *     its ground for extraction before noise,
   *   - build the extractors a synthesized function would implement:
   *     `narrowPA` (what the regex-flavored prompt P_A produces — anchored on
   *     the exact surface observed in one sample chunk, often value-shape
@@ -26,8 +27,10 @@ import repro.util.Rng
 sealed trait Style extends Serializable {
   def render(value: String, rng: Rng): String
 
-  /** Parse (value, matchOffset) from a document rendered with this style. */
-  def parse(text: String): Option[(String, Int)]
+  /** The extractor that reads this style's value back out of a document,
+    * exactly as rendered; its match start is the field's offset.
+    */
+  def reader: Extractor = narrowPB
 
   def narrowPA(observedValue: String): Extractor
   def narrowPB: Extractor
@@ -48,10 +51,6 @@ sealed trait Style extends Serializable {
 }
 
 object Style {
-
-  private[docs] def firstMatch(pat: Regex, text: String,
-                               group: Int = 1): Option[(String, Int)] =
-    pat.findFirstMatchIn(text).map(m => (m.group(group).trim, m.start))
 
   /** Regex matching the *shape* of an observed value: digits become \d,
     * uppercase letters [A-Z], lowercase [a-z]. This is what a regex-happy
@@ -81,20 +80,7 @@ object Style {
                                  multilineValues: Boolean = false) extends Style {
     def render(value: String, rng: Rng): String = s"$label: $value"
 
-    private val parsePat =
-      new Regex("(?m)^" + Regex.quote(label) + ":[ \\t]*(.*)$")
-
-    def parse(text: String): Option[(String, Int)] =
-      parsePat.findFirstMatchIn(text).map { m =>
-        var value = m.group(1)
-        if (multilineValues) {
-          val rest = text.substring(m.end).stripPrefix("\r").stripPrefix("\n")
-          value += rest.split("\n", -1).iterator
-            .takeWhile(l => l.startsWith("\t") || l.startsWith("    "))
-            .map(l => " " + l.trim).mkString
-        }
-        (value.trim, m.start)
-      }
+    override def reader: Extractor = KeyColon(label, caseInsensitive = false, continuation = multilineValues)
 
     def narrowPA(observedValue: String): Extractor =
       RegexCapture("(?m)^" + Regex.quote(label) + ":[ \\t]*(.*)$")
@@ -107,11 +93,6 @@ object Style {
   final case class InlineStyle(prefix: String, suffix: String,
                                complexity: Double = 0.55) extends Style {
     def render(value: String, rng: Rng): String = s"$prefix$value$suffix"
-
-    private val parsePat =
-      new Regex("(?s)" + Regex.quote(prefix) + "(.*?)" + Regex.quote(suffix))
-
-    def parse(text: String): Option[(String, Int)] = firstMatch(parsePat, text)
 
     // P_A keys on the value's shape seen in the sample chunk — brittle to
     // shape drift (lowercase codes, longer names).
@@ -145,14 +126,6 @@ object Style {
       s"""<tr><th scope="row">$label</th><$valueTag$clsAttr>$inner</$valueTag></tr>"""
     }
 
-    private val parsePat = new Regex(
-      "(?s)>\\s*" + Regex.quote(label) + "\\s*</th>\\s*<" + Regex.quote(valueTag) +
-        "[^>]*>(.*?)</" + Regex.quote(valueTag) + ">"
-    )
-
-    def parse(text: String): Option[(String, Int)] =
-      parsePat.findFirstMatchIn(text).map(m => (Extractor.stripTags(m.group(1)), m.start))
-
     // P_A returns the raw inner HTML (no markup stripping) — fine for plain
     // rows, sloppy for nested ones, exactly the variance the paper observes.
     def narrowPA(observedValue: String): Extractor = RegexCapture(
@@ -172,11 +145,6 @@ object Style {
     def render(value: String, rng: Rng): String =
       s"""<meta itemprop="$prop" content="$value"/>"""
 
-    private val parsePat =
-      new Regex("(?i)<meta[^>]*itemprop=\"" + Regex.quote(prop) + "\"[^>]*content=\"([^\"]*)\"")
-
-    def parse(text: String): Option[(String, Int)] = firstMatch(parsePat, text)
-
     def narrowPA(observedValue: String): Extractor =
       RegexCapture("<meta[^>]*itemprop=\"" + Regex.quote(prop) + "\"[^>]*content=\"([^\"]*)\"")
     def narrowPB: Extractor = MetaContent(prop)
@@ -187,10 +155,6 @@ object Style {
   final case class TitleStyle(sep: String, siteName: String,
                               complexity: Double = 0.3) extends Style {
     def render(value: String, rng: Rng): String = s"<title>$value$sep$siteName</title>"
-
-    private val parsePat = new Regex("(?is)<title>(.*?)" + Regex.quote(sep))
-
-    def parse(text: String): Option[(String, Int)] = firstMatch(parsePat, text)
 
     def narrowPA(observedValue: String): Extractor =
       RegexCapture("(?is)<title>(.*?)" + Regex.quote(sep))
@@ -204,11 +168,6 @@ object Style {
       val slug = value.toLowerCase.replaceAll("[^a-z0-9]+", "-")
       s"""<a href="$prefix$slug">$value</a>"""
     }
-
-    private val parsePat =
-      new Regex("(?i)<a href=\"" + Regex.quote(prefix) + "[^\"]*\"[^>]*>(.*?)</a>")
-
-    def parse(text: String): Option[(String, Int)] = firstMatch(parsePat, text)
 
     def narrowPA(observedValue: String): Extractor =
       RegexCapture("(?i)<a href=\"" + Regex.quote(prefix) + "[^\"]*\"[^>]*>([^<]*)</a>")

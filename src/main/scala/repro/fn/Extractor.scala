@@ -19,7 +19,8 @@ import scala.util.matching.Regex
   * document, of which its 11 `RegexCapture`s take 220–270 µs and its 25
   * `KeyColon`s 12–18 µs; SWDE Movie's 24 take 100–140 µs, its 12 `TagRow`s
   * 14–21 µs. The paper reports ~0.25 ms per function-document pair for its
-  * Python functions.
+  * Python functions. The simulated LLM reads documents through the same
+  * interpreter: each field format names its exact reader (`Style.reader`).
   *
   * The taxonomy mirrors the failure modes the paper observes: functions can
   * be *broken* (don't compile, so never produce a value), *narrow* (work
@@ -38,10 +39,11 @@ import scala.util.matching.Regex
   */
 sealed trait Extractor extends Serializable {
 
-  /** Raw extraction from one document's shared scan; may throw (an invalid
-    * `RegexCapture` pattern does).
+  /** Raw extraction from one document's shared scan, with the start of the
+    * match it read the value from; may throw (an invalid `RegexCapture`
+    * pattern does).
     */
-  private[fn] def run(scan: ExtractorSet.Scan): String
+  private[fn] def run(scan: ExtractorSet.Scan): ExtractorSet.Hit
 
   /** Total extraction: never throws, "" on any failure or a null text. The
     * one-member [[ExtractorSet]].
@@ -53,12 +55,13 @@ sealed trait Extractor extends Serializable {
 }
 
 object Extractor {
+  import ExtractorSet.{Hit, Miss}
 
   private val Tag    = Pattern.compile("<[^>]*>")
   private val Spaces = Pattern.compile("\\s+")
 
   /** Replace markup with spaces and collapse whitespace — shared by
-    * extractors, the document parser, and the DOM baselines.
+    * extractors and the baselines.
     */
   def stripTags(s: String): String =
     Spaces.matcher(Tag.matcher(s).replaceAll(" ")).replaceAll(" ").trim
@@ -83,14 +86,14 @@ object Extractor {
     * candidates pay no exception per document.
     */
   final case class Broken(reason: String) extends Extractor {
-    private[fn] def run(scan: ExtractorSet.Scan): String = ""
-    def describe: String                                 = s"broken($reason)"
+    private[fn] def run(scan: ExtractorSet.Scan): Hit = Miss
+    def describe: String                              = s"broken($reason)"
   }
 
   /** `Label: value` line extractor — the dominant pattern for TXT lakes. It
     * reads the first line that opens with `label:` (the regex
     * `(?m)^label:[ \t]*(.*)$`, `(?im)` when case-insensitive), looked up in
-    * the scan's line index.
+    * the scan's line index; the match starts at that line.
     *
     * @param continuation when true, indented continuation lines are folded
     *                     into the value (multi-line email headers); when
@@ -98,16 +101,16 @@ object Extractor {
     */
   final case class KeyColon(label: String, caseInsensitive: Boolean,
                             continuation: Boolean) extends Extractor {
-    private[fn] def run(scan: ExtractorSet.Scan): String = {
+    private[fn] def run(scan: ExtractorSet.Scan): Hit = {
       val line = scan.keyLine(label, caseInsensitive)
-      if (line < 0) return ""
+      if (line < 0) return Miss
       val text = scan.text
       var from = line + label.length + 1
       while (from < text.length && (text.charAt(from) == ' ' || text.charAt(from) == '\t')) from += 1
       var end = from
       while (end < text.length && !isLineEnd(text.charAt(end))) end += 1
       val value = text.substring(from, end)
-      if (!continuation) return value
+      if (!continuation) return Hit(value, line)
       // Skip the newline that closed the matched line, then fold each
       // following '\n'-separated line that starts with a tab or 4 spaces.
       var next = end
@@ -119,7 +122,7 @@ object Extractor {
         sb.append(" ").append(text.substring(next, if (nl < 0) text.length else nl).trim)
         next = if (nl < 0) -1 else nl + 1
       }
-      sb.toString
+      Hit(sb.toString, line)
     }
     def describe: String = s"keycolon('$label', ci=$caseInsensitive, cont=$continuation)"
   }
@@ -129,25 +132,23 @@ object Extractor {
     */
   final case class RegexCapture(pattern: String) extends Extractor {
     @transient private lazy val compiled = new Regex(pattern)
-    private[fn] def run(scan: ExtractorSet.Scan): String =
-      compiled.findFirstMatchIn(scan.text) match {
-        case None    => ""
-        case Some(m) => if (m.groupCount >= 1) Option(m.group(1)).getOrElse("") else m.matched
-      }
+    private[fn] def run(scan: ExtractorSet.Scan): Hit = compiled.findFirstMatchIn(scan.text)
+      .fold(Miss)(m => Hit(if (m.groupCount >= 1) m.group(1) else m.matched, m.start))
     def describe: String = s"regex($pattern)"
   }
 
   /** Substring between two literal anchors — synthesized from inline-prose
-    * renderings ("the submission number K123456 was assigned").
+    * renderings ("the submission number K123456 was assigned"). The match
+    * starts at the first `start`.
     */
   final case class Between(start: String, end: String) extends Extractor {
-    private[fn] def run(scan: ExtractorSet.Scan): String = {
+    private[fn] def run(scan: ExtractorSet.Scan): Hit = {
       val text = scan.text
       val i    = text.indexOf(start)
-      if (i < 0) return ""
+      if (i < 0) return Miss
       val from = i + start.length
       val j    = text.indexOf(end, from)
-      if (j < 0) "" else text.substring(from, j)
+      if (j < 0) Miss else Hit(text.substring(from, j), i)
     }
     def describe: String = s"between('$start','$end')"
   }
@@ -159,7 +160,7 @@ object Extractor {
     * The value is the first match of `pat`; the scan's row index supplies the
     * `>` positions where a match can start, in document order, and `pat`
     * confirms each with `lookingAt` there, so the first confirmed site is
-    * the regex's leftmost match.
+    * the regex's leftmost match and its start.
     */
   final case class TagRow(label: String, caseInsensitive: Boolean,
                           stripMarkup: Boolean, valueTag: String = "td") extends Extractor {
@@ -170,14 +171,15 @@ object Extractor {
         flags + ">\\s*" + Regex.quote(label) + "\\s*</[a-z0-9]+>\\s*<" + vt + "[^>]*>(.*?)</" + vt + ">"
       )
     }
-    private[fn] def run(scan: ExtractorSet.Scan): String = {
+    private[fn] def run(scan: ExtractorSet.Scan): Hit = {
       val m     = pat.matcher(scan.text).useTransparentBounds(true).useAnchoringBounds(false)
       val sites = scan.rowSites(label)
       while (sites.hasNext) {
-        m.region(sites.next(), scan.text.length)
-        if (m.lookingAt()) return if (stripMarkup) stripTags(m.group(1)) else m.group(1).trim
+        val site = sites.next()
+        m.region(site, scan.text.length)
+        if (m.lookingAt()) return Hit(if (stripMarkup) stripTags(m.group(1)) else m.group(1), site)
       }
-      ""
+      Miss
     }
     def describe: String = s"tagrow('$label', ci=$caseInsensitive, strip=$stripMarkup, tag=$valueTag)"
   }
@@ -187,21 +189,19 @@ object Extractor {
     @transient private lazy val pat = new Regex(
       "(?i)<meta[^>]*(?:itemprop|name|property)=\"" + Regex.quote(prop) + "\"[^>]*content=\"([^\"]*)\""
     )
-    private[fn] def run(scan: ExtractorSet.Scan): String =
-      pat.findFirstMatchIn(scan.text).map(_.group(1)).getOrElse("")
+    private[fn] def run(scan: ExtractorSet.Scan): Hit =
+      pat.findFirstMatchIn(scan.text).fold(Miss)(m => Hit(m.group(1), m.start))
     def describe: String = s"meta('$prop')"
   }
 
   /** `<title>value SEP site</title>` extractor. */
   final case class TitleBefore(sep: String) extends Extractor {
     @transient private lazy val pat = new Regex("(?is)<title>(.*?)</title>")
-    private[fn] def run(scan: ExtractorSet.Scan): String =
-      pat.findFirstMatchIn(scan.text) match {
-        case None => ""
-        case Some(m) =>
-          val t = m.group(1)
-          val i = t.indexOf(sep)
-          if (i < 0) t.trim else t.substring(0, i).trim
+    private[fn] def run(scan: ExtractorSet.Scan): Hit =
+      pat.findFirstMatchIn(scan.text).fold(Miss) { m =>
+        val t = m.group(1)
+        val i = t.indexOf(sep)
+        Hit(if (i < 0) t else t.substring(0, i), m.start)
       }
     def describe: String = s"titleBefore('$sep')"
   }
@@ -212,28 +212,28 @@ object Extractor {
   final case class HrefAnchor(prefix: String) extends Extractor {
     @transient private lazy val pat =
       new Regex("(?i)<a href=\"" + Regex.quote(prefix) + "[^\"]*\"[^>]*>(.*?)</a>")
-    private[fn] def run(scan: ExtractorSet.Scan): String =
-      pat.findFirstMatchIn(scan.text).map(m => stripTags(m.group(1))).getOrElse("")
+    private[fn] def run(scan: ExtractorSet.Scan): Hit =
+      pat.findFirstMatchIn(scan.text).fold(Miss)(m => Hit(stripTags(m.group(1)), m.start))
     def describe: String = s"href('$prefix')"
   }
 
   /** Wraps a working extractor with the paper's "sloppy" failure mode:
     * the function matches the right region but mis-captures the value.
-    * It reads `inner`'s output from the scan, so an `inner` that is also a
-    * member of the set runs once.
+    * It reads `inner`'s output, and its start, from the scan, so an `inner`
+    * that is also a member of the set runs once.
     *
     * @param mode 0 = append `extra` after the value; 1 = truncate
     *             to the first token; any other = prepend `extra`.
     */
   final case class Sloppy(inner: Extractor, mode: Int, extra: String) extends Extractor {
-    private[fn] def run(scan: ExtractorSet.Scan): String = {
+    private[fn] def run(scan: ExtractorSet.Scan): Hit = {
       val base = scan.output(inner)
-      if (base.isEmpty) ""
-      else mode match {
-        case 0 => base + " " + extra
-        case 1 => base.split("\\s+").headOption.getOrElse("")
-        case _ => extra + " " + base
-      }
+      if (base.value.isEmpty) Miss
+      else Hit(mode match {
+        case 0 => base.value + " " + extra
+        case 1 => base.value.split("\\s+").headOption.getOrElse("")
+        case _ => extra + " " + base.value
+      }, base.start)
     }
     def describe: String = s"sloppy(${inner.describe}, mode=$mode)"
   }
@@ -250,6 +250,9 @@ object Extractor {
   *    between it and the next `<`, less surrounding regex whitespace, which
   *    is where a `TagRow` label without `<` or surrounding whitespace must
   *    sit; any other label is tried at every `>`.
+  *
+  * Each output carries the start of its match ([[ExtractorSet.Hit]]), which
+  * is where `DocParser` locates a field.
   *
   * Serializable, so one set ships in a Spark UDF closure.
   */
@@ -273,17 +276,30 @@ final class ExtractorSet(fns: Seq[Extractor]) extends Serializable {
     reached.collect { case t: TagRow if ExtractorSet.isRowKey(t.label) => asciiLower(t.label) }.toSet
   private val maxRowKeyLength: Int = rowKeys.map(_.length).maxOption.getOrElse(-1)
 
-  /** Each member's output on `text`, in member order: trimmed, "" on a miss,
+  /** Each member's output on `text`, in member order, with the start of the
+    * match it came from: the value trimmed, [[ExtractorSet.Miss]] on a miss,
     * on any failure and for a null `text`.
     */
-  def extract(text: String): IndexedSeq[String] = {
+  def hits(text: String): IndexedSeq[ExtractorSet.Hit] = {
     val scan = new ExtractorSet.Scan(if (text == null) "" else text, this)
     members.map(scan.output)
   }
+
+  /** The values of [[hits]]: "" where a member found nothing. */
+  def extract(text: String): IndexedSeq[String] = hits(text).map(_.value)
 }
 
 object ExtractorSet {
   import Extractor._
+
+  /** A function's value on one document and where its match starts: a
+    * `KeyColon`'s line, a `TagRow`'s `>` site, a `Between`'s first anchor, a
+    * regex kind's match start, a `Sloppy`'s inner start.
+    */
+  final case class Hit(value: String, start: Int)
+
+  /** No value: a miss, a broken function or a failure. */
+  val Miss: Hit = Hit("", -1)
 
   /** A `TagRow` label the row index can answer: a match of its pattern then
     * starts at a `>` whose row key is the label, case-folded.
@@ -295,17 +311,17 @@ object ExtractorSet {
     * reaches, and the line and row indexes, each built on first use.
     */
   private[fn] final class Scan(val text: String, set: ExtractorSet) {
-    private val outputs = new java.util.HashMap[Extractor, String]()
+    private val outputs = new java.util.HashMap[Extractor, Hit]()
 
     /** `f`'s output on this document, computed once. */
-    private[fn] def output(f: Extractor): String = {
+    private[fn] def output(f: Extractor): Hit = {
       val hit = outputs.get(f)
       if (hit != null) return hit
       val out =
         try {
           val raw = f.run(this)
-          if (raw == null) "" else raw.trim
-        } catch { case NonFatal(_) => "" }
+          Hit(if (raw.value == null) "" else raw.value.trim, raw.start)
+        } catch { case NonFatal(_) => Miss }
       outputs.put(f, out)
       out
     }

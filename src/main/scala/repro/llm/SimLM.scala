@@ -11,14 +11,15 @@ final case class OpenExtraction(pairs: Seq[LmPair], tokens: Long)
 
 /** Simulated large language model.
   *
-  * The simulation grounds every answer in a *real parse* of the document
-  * (`DocParser` — perfect reading comprehension), then applies the noise
-  * processes the paper measures for each provider (misses that grow with
-  * chunk depth, attribute rewording, value mangling, hallucinated
-  * attributes, chat-style refusals). It never reads the generator's gold
-  * map. All calls are deterministic in (seed, docId, call kind) and return
-  * the number of tokens "processed" (prompt + chunk + generation), which is
-  * the paper's cost metric.
+  * The simulation grounds every answer in a *real read* of the document
+  * (`DocParser` — perfect reading comprehension: each field format's
+  * `Style.reader`, run by the same extractor interpreter as the synthesized
+  * functions), then applies the noise processes the paper measures for each
+  * provider (misses that grow with chunk depth, attribute rewording, value
+  * mangling, hallucinated attributes, chat-style refusals). It never reads
+  * the generator's gold map. All calls are deterministic in (seed, docId,
+  * call kind) and return the number of tokens "processed" (prompt + chunk +
+  * generation), which is the paper's cost metric.
   *
   * Serializable so extraction calls can run inside Spark UDFs; token counts
   * travel back as DataFrame columns.
@@ -133,32 +134,28 @@ final case class SimLM(profile: Profile, setting: Setting, seed: Long) extends S
 
   /** E.2 — closed extraction of a named attribute; the high-quality LLM
     * labels Algorithm 1 scores candidate functions against, and the
-    * ClosedIE task itself. Only the keyword-bearing chunk is charged, which
-    * reproduces Table 7's per-attribute cost profile.
+    * ClosedIE task itself. The attribute (or its alias) is read through its
+    * variants' readers alone (`DocParser.parse(attr, text)`). Only the
+    * keyword-bearing chunk is charged, which reproduces Table 7's
+    * per-attribute cost profile.
     */
   def closedExtract(docId: String, text: String, attrName: String): (String, Long) = {
     val chunkTok = math.min(600L, Tokens.count(text))
     val rng      = Rng(seed).derive("closed", docId, Naming.normalize(attrName))
     val base     = Prompts.closedTokens + chunkTok
 
-    setting.attrByName(attrName) match {
+    setting.attrByName(attrName).flatMap(DocParser.parse(_, text)) match {
       case None => ("", base)
-      case Some(spec) =>
-        val parsed = spec.variants.iterator
-          .flatMap { case (style, _) => style.parse(text) }.take(1).toSeq.headOption
-        parsed match {
-          case None => ("", base)
-          case Some((value, _)) =>
-            if (rng.derive("miss").bool(profile.missClosed)) ("", base)
-            else if (rng.derive("refuse").bool(profile.refusalProb * 0.5))
-              ("I'm not sure, please give me more information.", base + 12L)
-            else {
-              val out =
-                if (rng.derive("vnoise").bool(valueNoiseProb(value) * 0.6))
-                  mangleValue(value, rng.derive("mangle"))
-                else value
-              (out, base + Tokens.count(out))
-            }
+      case Some(DocParser.ParsedField(_, value, _)) =>
+        if (rng.derive("miss").bool(profile.missClosed)) ("", base)
+        else if (rng.derive("refuse").bool(profile.refusalProb * 0.5))
+          ("I'm not sure, please give me more information.", base + 12L)
+        else {
+          val out =
+            if (rng.derive("vnoise").bool(valueNoiseProb(value) * 0.6))
+              mangleValue(value, rng.derive("mangle"))
+            else value
+          (out, base + Tokens.count(out))
         }
     }
   }

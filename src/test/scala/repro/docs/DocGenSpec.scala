@@ -1,6 +1,7 @@
 package repro.docs
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.fn.ExtractorSet
 
 class DocGenSpec extends AnyFunSuite {
 
@@ -70,10 +71,32 @@ class DocGenSpec extends AnyFunSuite {
   }
 
   test("parser offsets point at the field position") {
-    val d = DocGen.render(Corpora.fda, 0, seed)
-    DocParser.parse(Corpora.fda, d.text).foreach { f =>
-      assert(f.offset >= 0 && f.offset < d.text.length)
+    for (setting <- Corpora.all; d <- DocGen.corpus(setting, 20, seed)) {
+      val parsed = DocParser.parse(setting, d.text)
+      parsed.foreach(f => assert(f.offset >= 0 && f.offset < d.text.length))
+      assert(parsed == StyleReference.parse(setting, d.text), s"${setting.name} ${d.id}")
     }
+  }
+
+  test("parser reports an attribute's first variant with a value, wherever later ones sit") {
+    val rng     = repro.util.Rng(3)
+    var checked = 0
+    for (setting <- Corpora.all; a <- setting.attrs if a.variants.size >= 2) {
+      val Seq(first, second) = a.variants.take(2).map(_._1)
+      // The second variant is rendered earlier in the text than the first.
+      val text = Seq("intro", second.render("Value Two", rng), Filler.paragraph(rng, 20),
+        first.render("Value One", rng), "end").mkString("\n")
+      val one = new ExtractorSet(Seq(first.reader, second.reader)).hits(text)
+      if (one.map(_.value) == Seq("Value One", "Value Two")) {
+        assert(one(1).start < one(0).start)
+        val field = DocParser.parse(setting, text).find(_.attr == a.name)
+        assert(field.contains(DocParser.ParsedField(a.name, "Value One", one(0).start)),
+          s"${setting.name}/${a.name}")
+        assert(DocParser.parse(a, text) == field)
+        checked += 1
+      }
+    }
+    assert(checked > 20, s"only $checked attributes render two readable variants")
   }
 
   test("HTML settings render a head and body") {

@@ -2,18 +2,26 @@ package repro.docs
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.docs.Style._
+import repro.fn.ExtractorSet
 import repro.util.Rng
 
 class StyleSpec extends AnyFunSuite {
 
   private val rng = Rng(7)
 
+  /** `style.reader`'s value and match start on `text`, `None` on a miss. */
+  private def read(style: Style, text: String): Option[(String, Int)] = {
+    val hit = new ExtractorSet(Seq(style.reader)).hits(text).head
+    if (hit.value.isEmpty) None else Some((hit.value, hit.start))
+  }
+
   private def roundtrip(style: Style, value: String): Unit = {
     val doc = "preamble line\n" + style.render(value, rng) + "\ntrailing line"
-    val parsed = style.parse(doc)
-    assert(parsed.isDefined, s"${style.getClass.getSimpleName} failed to parse its own rendering")
+    val parsed = read(style, doc)
+    assert(parsed.isDefined, s"${style.getClass.getSimpleName} failed to read its own rendering")
     assert(parsed.get._1 == value, s"got '${parsed.get._1}' expected '$value'")
     assert(parsed.get._2 > 0)
+    assert(parsed == StyleReference.parse(style, doc), "value and match start equal the reference")
   }
 
   // ------------------------------------------------------------ KeyColon --
@@ -25,15 +33,16 @@ class StyleSpec extends AnyFunSuite {
   test("KeyColonStyle multiline values fold continuations on parse") {
     val s   = KeyColonStyle("To", multilineValues = true)
     val doc = s.render("a@x.com,\n\tb@x.com", rng) + "\nNext: z"
-    assert(s.parse(doc).get._1 == "a@x.com, b@x.com")
+    assert(read(s, doc) == Some(("a@x.com, b@x.com", 0)))
+    assert(read(KeyColonStyle("To"), doc) == Some(("a@x.com,", 0)), "single-line headers do not fold")
   }
 
   test("KeyColonStyle parse is case sensitive (distinct variants stay distinct)") {
     val lower = KeyColonStyle("Product Code")
     val upper = KeyColonStyle("PRODUCT CODE")
     val doc   = upper.render("XYZ", rng)
-    assert(lower.parse(doc).isEmpty)
-    assert(upper.parse(doc).get._1 == "XYZ")
+    assert(read(lower, doc).isEmpty)
+    assert(read(upper, doc).get._1 == "XYZ")
   }
 
   test("KeyColonStyle narrowPA truncates multiline values, narrowPB does not") {
@@ -104,8 +113,14 @@ class StyleSpec extends AnyFunSuite {
     val td = TagRowStyle("Phone", valueTag = "td")
     val dd = TagRowStyle("Phone", valueTag = "dd")
     val doc = dd.render("555", rng)
-    assert(td.parse(doc).isEmpty)
-    assert(dd.parse(doc).get._1 == "555")
+    assert(read(td, doc).isEmpty)
+    assert(read(dd, doc) == Some(("555", doc.indexOf('>', doc.indexOf("<th")))))
+  }
+
+  test("TagRowStyle reader is case sensitive (distinct variants stay distinct)") {
+    val doc = TagRowStyle("DIRECTOR").render("Jane Doe", rng)
+    assert(read(TagRowStyle("Director"), doc).isEmpty)
+    assert(read(TagRowStyle("DIRECTOR"), doc).get._1 == "Jane Doe")
   }
 
   test("TagRowStyle is a DOM leaf (visible to the Table-2 baselines)") {
@@ -134,7 +149,7 @@ class StyleSpec extends AnyFunSuite {
 
   test("TitleStyle parse stops at the separator") {
     val s = TitleStyle(" | AllMovie", "allmovie")
-    assert(s.parse(s.render("Movie Name", rng)).get._1 == "Movie Name")
+    assert(read(s, s.render("Movie Name", rng)) == Some(("Movie Name", 0)))
   }
 
   // ---------------------------------------------------------------- Href --
@@ -146,7 +161,7 @@ class StyleSpec extends AnyFunSuite {
   test("HrefStyle slugifies multi-word values in the target") {
     val html = HrefStyle("/wiki/college/").render("Penn State", rng)
     assert(html.contains("/wiki/college/penn-state"))
-    assert(HrefStyle("/wiki/college/").parse(html).get._1 == "Penn State")
+    assert(read(HrefStyle("/wiki/college/"), html) == Some(("Penn State", 0)))
   }
 
   // ----------------------------------------------------------- generic ----
@@ -165,6 +180,25 @@ class StyleSpec extends AnyFunSuite {
       val doc = "x\n" + style.render(value, rng) + "\ny"
       assert(style.general.extract(doc) == value, style.toString)
     }
+  }
+
+  test("property: every reader equals the regex reference, value and start, on rendered documents of all 16 settings") {
+    assert(Corpora.all.size == 16)
+    var found = 0
+    for (setting <- Corpora.all) {
+      val styles = setting.attrs.flatMap(_.variants.map(_._1))
+      val set    = new ExtractorSet(styles.map(_.reader))
+      for (seed <- Seq(42L, 7L); idx <- 0L until 300L) {
+        val text = DocGen.render(setting, idx, seed).text
+        for ((style, hit) <- styles.zip(set.hits(text))) {
+          val got      = if (hit.value.isEmpty) None else Some((hit.value, hit.start))
+          val expected = StyleReference.parse(style, text)
+          if (got != expected) fail(s"${setting.name} doc $idx seed $seed $style: $got vs $expected")
+          if (got.isDefined) found += 1
+        }
+      }
+    }
+    assert(found > 100000, "the documents must exercise the readers")
   }
 
   test("shape pattern classifies digits, upper and lower case") {

@@ -1,7 +1,8 @@
 package repro.llm
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.docs.{Corpora, DocGen, Naming}
+import repro.docs.{Corpora, DocGen, Naming, StyleReference}
+import repro.util.Tokens
 
 class SimLMSpec extends AnyFunSuite {
 
@@ -123,6 +124,25 @@ class SimLMSpec extends AnyFunSuite {
     val open   = lm().openExtract(d.id, d.text).tokens
     val closed = lm().closedExtract(d.id, d.text, "applicant")._2
     assert(closed < open)
+  }
+
+  test("closedExtract reads what the variant regexes read: every attribute, an alias, an unknown name") {
+    // Without noise, closedExtract returns its grounded value.
+    val noiseless = Profile.davinci.copy(missClosed = 0.0, refusalProb = 0.0, valueNoise = 0.0)
+    var found     = 0
+    for (setting <- Corpora.all; d <- DocGen.corpus(setting, 10, seed)) {
+      val closed = SimLM(noiseless, setting, seed)
+      val alias  = setting.attrs.flatMap(_.aliases).take(1)
+      for (name <- setting.attrs.map(_.name) ++ alias :+ "no such attribute") {
+        val expected = setting.attrByName(name).flatMap(StyleReference.parse(_, d.text)).map(_.value)
+        val (v, t)   = closed.closedExtract(d.id, d.text, name)
+        val base     = Prompts.closedTokens + math.min(600L, Tokens.count(d.text))
+        assert(v == expected.getOrElse(""), s"${setting.name} ${d.id} $name")
+        assert(t == base + expected.map(Tokens.count).getOrElse(0L))
+        if (v.nonEmpty) found += 1
+      }
+    }
+    assert(found > 1000, "the documents must hold the attributes")
   }
 
   // ------------------------------------------------------------- reranking
