@@ -2,7 +2,6 @@ package repro.baselines
 
 import scala.util.matching.Regex
 import repro.docs.{Naming, RenderedDoc, Setting}
-import repro.fn.Extractor
 import repro.util.Rng
 
 /** The Table-2 baseline family: systems that treat web extraction as

@@ -2,7 +2,6 @@ package repro.docs
 
 import repro.docs.Style._
 import repro.docs.{Values => V}
-import repro.util.Rng
 
 /** The 16 evaluation settings (five reporting groups), mirroring the paper:
   * FDA 510(k) reviews (TXT), Enron emails (TXT), Wikipedia NBA player pages
@@ -342,19 +341,10 @@ object Corpora {
 
   val uniSites: Seq[Setting] = uniSiteNames.indices.map(uniSite)
 
-  // ------------------------------------------------------------- groups ---
+  // ---------------------------------------------------------------- all ---
 
   /** All 16 settings, in reporting order. */
   val all: Seq[Setting] = Seq(fda, enron, nba) ++ movieSites ++ uniSites
-
-  /** The paper's five reporting groups, each a list of settings averaged. */
-  val groups: Seq[(String, Seq[Setting])] = Seq(
-    "FDA"             -> Seq(fda),
-    "Enron Emails"    -> Seq(enron),
-    "Wiki NBA"        -> Seq(nba),
-    "SWDE Movie"      -> movieSites,
-    "SWDE University" -> uniSites,
-  )
 
   def byName(name: String): Setting =
     all.find(_.name == name).getOrElse(sys.error(s"unknown setting '$name'"))

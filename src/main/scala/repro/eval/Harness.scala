@@ -3,13 +3,11 @@ package repro.eval
 import scala.collection.mutable
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.StructuredView
 import repro.docs.{DocGen, DocLake, Setting}
-import repro.util.CostModel
 
 /** What the paper tables, the tests and the benchmark share: the memoised
-  * synthetic lakes, the 10-document evaluation sample, a Direct run's token
-  * cost per 10k documents, and percentage rounding.
+  * synthetic lakes, the 10-document evaluation sample, and percentage
+  * rounding.
   */
 object Harness {
 
@@ -37,15 +35,6 @@ object Harness {
 
   def restrict(df: DataFrame, ids: Seq[String]): DataFrame =
     df.where(col("doc_id").isin(ids: _*))
-
-  // ---------------------------------------------------------------- cost --
-
-  /** Per-10k-document token cost for a Direct run measured over
-    * `measuredDocs` documents (all tokens are per-document). A Code(+) run's
-    * tokens are fixed in the lake size, so its per-10k cost is `view.tokens`.
-    */
-  def directTokensPer10k(view: StructuredView, measuredDocs: Int): Long =
-    CostModel.per10kDocs(0L, view.tokens, measuredDocs.toLong)
 
   // ------------------------------------------------------------- display --
 

@@ -1,7 +1,6 @@
 package repro.eval
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.docs.Naming
 
 /** The paper's metrics (Appendix A).
@@ -14,9 +13,10 @@ import repro.docs.Naming
   *  - **F1@k** (schema identification): set F1 between the top-k predicted
   *    attribute names and the gold attribute names.
   *
-  * The two DataFrame metrics group both sides together instead of joining
-  * them, collect a few rows once, and do not depend on how Spark partitions
-  * the input or the shuffle.
+  * The two DataFrame metrics read each side with one `collect()` and apply
+  * Appendix A on the driver, with no shuffle: their inputs are small tuple
+  * tables (the paper scores 10-document samples), and a result cannot
+  * depend on how Spark partitions them.
   */
 object Metrics {
 
@@ -78,36 +78,33 @@ object Metrics {
     Prf(p, r, f1)
   }
 
-  // Side tags of a tuple: bit_or over a tuple's rows gives Pred, Gold or both.
-  private val Pred = 1
-  private val Gold = 2
+  private type Tuple = (String, String, String)
 
-  private val normAttr = udf((s: String) => Naming.normalize(s))
+  /** A (doc_id, attr, value) table, read with one `collect()`, with its
+    * attribute names passed through `Naming.normalize`.
+    */
+  private def tuples(df: DataFrame): Seq[Tuple] =
+    df.select("doc_id", "attr", "value").collect().toSeq
+      .map(r => (r.getString(0), Naming.normalize(r.getString(1)), r.getString(2)))
 
   /** Pair F1 between predicted and gold tuple DataFrames, both with columns
     * (doc_id, attr, value): exact matches only, no partial credit
     * (Appendix A).
     *
-    * Attribute names are compared after `Naming.normalize`. Values have
-    * internal whitespace collapsed to one space and are trimmed, on both
-    * sides: multi-line values (e.g. RFC-822 continuation headers) are
-    * otherwise unmatchable even when every token is extracted correctly.
-    * Null and empty values are dropped, and each side is a set, so duplicate
-    * tuples count once.
+    * Attribute names are compared after `Naming.normalize`. Values have each
+    * `\s+` run collapsed to one space and leading and trailing U+0020 removed
+    * (Spark SQL's `trim`: other whitespace stays), on both sides: multi-line
+    * values (e.g. RFC-822 continuation headers) are otherwise unmatchable
+    * even when every token is extracted correctly. Null and empty values are
+    * dropped, and each side is a set, so duplicate tuples count once.
     */
   def pairF1(pred: DataFrame, gold: DataFrame): Prf = {
-    def canon(df: DataFrame, side: Int): DataFrame =
-      df.select(col("doc_id"), normAttr(col("attr")) as "attr",
-          trim(regexp_replace(col("value"), "\\s+", " ")) as "value", lit(side) as "side")
-        .where(col("value") =!= "")
-    val sides = canon(pred, Pred).unionByName(canon(gold, Gold))
-      .groupBy("doc_id", "attr", "value").agg(bit_or(col("side")) as "sides")
-    val row = sides.agg(
-      count(when(col("sides") =!= Gold, 1)),          // predicted tuples
-      count(when(col("sides") =!= Pred, 1)),          // gold tuples
-      count(when(col("sides") === (Pred | Gold), 1))  // matches
-    ).collect()(0)
-    prf(row.getLong(2), row.getLong(0), row.getLong(1))
+    // The collapse leaves at most one space at either end.
+    def canon(df: DataFrame): Set[Tuple] = tuples(df).collect {
+      case (d, a, v) if v != null => (d, a, v.replaceAll("\\s+", " ").stripPrefix(" ").stripSuffix(" "))
+    }.filter(_._3.nonEmpty).toSet
+    val (p, g) = (canon(pred), canon(gold))
+    prf(p.intersect(g).size.toLong, p.size.toLong, g.size.toLong)
   }
 
   /** ClosedIE Text F1: the mean token F1 over every (doc, attribute) slot
@@ -122,7 +119,7 @@ object Metrics {
     *  - Null and empty predicted values are dropped; a null gold value is
     *    scored as "".
     *
-    * Returns 0 when neither side has a row.
+    * Returns 0 when neither side has a row. `spark` is not used.
     */
   def closedTextF1(spark: SparkSession, pred: DataFrame, gold: DataFrame): Double = {
     val counts = closedScoreCounts(pred, gold)
@@ -131,30 +128,20 @@ object Metrics {
     else counts.map { case ((num, den), c) => c * num.toDouble / den }.sum / n
   }
 
-  private val pairFractions = udf { (pvs: collection.Seq[String], gvs: collection.Seq[String]) =>
-    def orEmpty(vs: collection.Seq[String]) = if (vs.isEmpty) Seq("") else vs.toSeq
-    for (pv <- orEmpty(pvs); gv <- orEmpty(gvs)) yield textF1Fraction(pv, gv)
-  }
-
   /** The scores behind `closedTextF1`: how many (predicted, gold) pairings
-    * score each `textF1Fraction`, in key order. Counting integer keys and
-    * summing them in a fixed order on the driver makes the mean independent
-    * of partitioning, which a floating-point sum on the executors is not.
+    * score each `textF1Fraction`, in key order. Summing integer counts in a
+    * fixed order keeps the mean independent of the input's row order and
+    * partitioning.
     */
   private[eval] def closedScoreCounts(pred: DataFrame, gold: DataFrame): Seq[((Int, Int), Long)] = {
-    val p = pred.select(col("doc_id"), normAttr(col("attr")) as "attr", col("value"),
-        lit(Pred) as "side")
-      .where(col("value") =!= "")
-    val g = gold.select(col("doc_id"), normAttr(col("attr")) as "attr",
-        coalesce(col("value"), lit("")) as "value", lit(Gold) as "side")
-    def values(side: Int) = collect_list(when(col("side") === side, col("value")))
-    p.unionByName(g)
-      .groupBy("doc_id", "attr").agg(values(Pred) as "pv", values(Gold) as "gv")
-      .select(explode(pairFractions(col("pv"), col("gv"))) as "f")
-      .groupBy(col("f._1"), col("f._2")).count()
-      .collect().toSeq
-      .map(r => (r.getInt(0), r.getInt(1)) -> r.getLong(2))
-      .sorted
+    def slots(ts: Seq[Tuple]) = ts.groupMap(t => (t._1, t._2))(_._3)
+    val p = slots(tuples(pred).filter(t => t._3 != null && t._3.nonEmpty))
+    val g = slots(tuples(gold).map(t => t.copy(_3 = Option(t._3).getOrElse(""))))
+    val fractions = (p.keySet ++ g.keySet).toSeq.flatMap { slot =>
+      for (pv <- p.getOrElse(slot, Seq("")); gv <- g.getOrElse(slot, Seq("")))
+        yield textF1Fraction(pv, gv)
+    }
+    fractions.groupMapReduce(identity)(_ => 1L)(_ + _).toSeq.sorted
   }
 
   /** Schema F1@k: the top-k predicted attribute names vs. the gold set. */

@@ -195,7 +195,7 @@ object Tables {
       val direct = EvaporateDirect.run(spark, s, sample(s, docs), Profile.davinci, Seed, s.goldAttrs.size)
       val plus   = EvaporateCode.run(spark, s, docs, Profile.davinci, Seed, s.goldAttrs.size)
       s -> Seq(Metrics.pairF1(sample(s, direct.table), sample(s, gold)).f1,
-        Harness.directTokensPer10k(direct, EvalSample).toDouble,
+        CostModel.per10kDocs(direct.tokens, EvalSample).toDouble,
         Metrics.pairF1(sample(s, plus.table), sample(s, gold)).f1, plus.tokens.toDouble)
     }).map { case (g, Seq(dF1, dTok, pF1, pTok)) =>
       T3Row(g,
@@ -327,7 +327,7 @@ object Tables {
       val (docs, gold) = lake(spark, s)
       val view = EvaporateDirect.runClosed(spark, s, docs, Profile.davinci, Seed, s.goldAttrs)
       s -> Seq(s.goldAttrs.size.toDouble, Metrics.closedTextF1(spark, view.table, gold),
-        Harness.directTokensPer10k(view, LakeDocs).toDouble)
+        CostModel.per10kDocs(view.tokens, LakeDocs).toDouble)
     }).map { case (g, Seq(k, c, tok)) => T7Row(g, k, pct(c), tok / 1e6, CostModel.dollars(tok.toLong)) }
 
   def renderTable7(rows: Seq[T7Row]): String = {

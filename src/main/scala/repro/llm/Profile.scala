@@ -79,7 +79,4 @@ object Profile {
     pBroken = 0.40, pGeneral = 0.05, pSloppy = 0.35, complexityPenalty = 0.50,
     keepRealProb = 0.80, keepJunkProb = 0.35,
   )
-
-  val byName: Map[String, Profile] =
-    Seq(davinci, gpt4, claude, jumbo, curie).map(p => p.model -> p).toMap
 }

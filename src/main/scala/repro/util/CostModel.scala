@@ -22,17 +22,13 @@ object CostModel {
   def dollars(tokens: Long, model: String = "text-davinci-003"): Double =
     tokens / 1000.0 * pricePer1k.getOrElse(model, 0.02)
 
-  /** Extrapolate a measured run to the paper's "per 10k documents" column.
-    *
-    * @param fixedTokens  tokens independent of lake size (schema + function
-    *                     synthesis + D_eval labeling) — Code/Code+ paths
-    * @param perDocTokens tokens spent per processed document — the Direct
-    *                     path, measured over `measuredDocs` documents
+  /** Extrapolate `tokens`, spent on `measuredDocs` documents by a run whose
+    * every token is per document (Direct, the LLM F), to the paper's "per 10k
+    * documents" column. A Code(+) run's tokens are fixed in the lake size,
+    * so its per-10k cost is its own token count.
     */
-  def per10kDocs(fixedTokens: Long, perDocTokens: Long, measuredDocs: Long): Long = {
-    val perDoc = if (measuredDocs == 0) 0.0 else perDocTokens.toDouble / measuredDocs
-    fixedTokens + math.round(perDoc * 10000.0)
-  }
+  def per10kDocs(tokens: Long, measuredDocs: Long): Long =
+    if (measuredDocs == 0) 0L else math.round(tokens.toDouble / measuredDocs * 10000.0)
 
   // The Figure-3 prompt geometry. Direct: every chunk of a `Window`-token
   // context adds `PromptOverhead` prompt and `GenPerChunk` generated tokens.

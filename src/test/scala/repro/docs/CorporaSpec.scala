@@ -1,6 +1,7 @@
 package repro.docs
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.eval.PaperNumbers
 
 class CorporaSpec extends AnyFunSuite {
 
@@ -9,9 +10,8 @@ class CorporaSpec extends AnyFunSuite {
   }
 
   test("the five reporting groups match the paper's table rows") {
-    assert(Corpora.groups.map(_._1) ==
-      Seq("FDA", "Enron Emails", "Wiki NBA", "SWDE Movie", "SWDE University"))
-    assert(Corpora.groups.map(_._2.size) == Seq(1, 1, 1, 8, 5))
+    assert(Corpora.all.map(_.group).distinct == PaperNumbers.groups)
+    assert(PaperNumbers.groups.map(g => Corpora.all.count(_.group == g)) == Seq(1, 1, 1, 8, 5))
   }
 
   test("FDA has 16 gold attributes (paper: 16)") {

@@ -77,6 +77,14 @@ class MetricsSpec extends SparkSpec {
     val gold = df(Seq(("d1", "510(k) number", "K1\n\t2")))
     val pred = df(Seq(("d1", "510 K NUMBER", "K1 2")))
     assert(pairF1(pred, gold).f1 == 1.0)
+    // Only U+0020 is trimmed after the collapse, as Spark SQL's trim does: U+001F is removed
+    // by String.trim and strip, U+2003 by strip alone and U+00A0 by neither, and none of them
+    // is in \s, so each stays part of the value (its token F1 still matches).
+    val x = df(Seq(("d", "a", "x")))
+    for ((v, f1) <- Seq("x\u001F" -> 0.0, "\u2003x" -> 0.0, "\u00A0x" -> 0.0, " x \t" -> 1.0, "x\n" -> 1.0)) {
+      assert(pairF1(df(Seq(("d", "a", v))), x).f1 == f1, v)
+      assert(closedTextF1(spark, df(Seq(("d", "a", v))), x) == 1.0, v)
+    }
   }
 
   test("pairF1 ignores empty values and duplicates") {

@@ -23,13 +23,11 @@ class CostModelSpec extends AnyFunSuite {
   }
 
   test("per10kDocs extrapolates per-document costs linearly") {
-    assert(CostModel.per10kDocs(0, 1000, 10) == 1000000)
-    assert(CostModel.per10kDocs(500, 0, 10) == 500)
-    assert(CostModel.per10kDocs(500, 1000, 10) == 1000500)
+    assert(CostModel.per10kDocs(1000, 10) == 1000000)
   }
 
   test("per10kDocs handles zero measured docs") {
-    assert(CostModel.per10kDocs(42, 999, 0) == 42)
+    assert(CostModel.per10kDocs(999, 0) == 0)
   }
 
   test("direct token cost is linear in documents") {
