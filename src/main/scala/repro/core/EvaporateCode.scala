@@ -14,20 +14,21 @@ import repro.ws.Aggregation
   *                       attribute, applied as-is — no LLM verification, no
   *                       validation. When false this is Evaporate-Code+
   *                       (§3.3) under the given aggregation `mode`.
-  * @param sampleDocs     documents sampled for schema synthesis, function
-  *                       synthesis and D_eval (the paper uses 10 for all
-  *                       three, §4.1)
   * @param perPrompt      sample chunks per synthesis prompt template; with
   *                       the two templates P_A/P_B this yields 2×perPrompt
   *                       candidate functions per attribute
   */
 final case class CodeConfig(
-    sampleDocs: Int = 10,
     perPrompt: Int = 5,
     mode: Aggregation.Mode = Aggregation.WsFull,
     singleFunction: Boolean = false,
     prompts: Seq[Synthesizer.PromptKind] = Seq(Synthesizer.PA, Synthesizer.PB),
-)
+) {
+  /** Documents sampled for schema synthesis, function synthesis and D_eval:
+    * the paper uses 10 for all three (§4.1).
+    */
+  final val sampleDocs = 10
+}
 
 /** The LLM-side work for one attribute: its candidate functions, their
   * outputs on D_eval (computed once per distinct candidate), the LLM's D_eval

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
 
@@ -28,9 +29,10 @@ object StructuredView {
     StructField("doc_id", StringType), StructField("attr", StringType),
     StructField("value", StringType)))
 
-  /** A driver-side tuple list as a `tupleSchema` DataFrame. */
+  /** A driver-side tuple list as a `tupleSchema` DataFrame over a local
+    * relation: the rows stay on the driver, so collecting them starts no
+    * Spark job.
+    */
   def tuplesDf(spark: SparkSession, tuples: Seq[(String, String, String)]): DataFrame =
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(tuples.map { case (d, a, v) => Row(d, a, v) }, 4),
-      tupleSchema)
+    spark.createDataFrame(tuples.map { case (d, a, v) => Row(d, a, v) }.asJava, tupleSchema)
 }

@@ -5,11 +5,24 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.docs.{DocGen, DocLake, Setting}
 
-/** What the paper tables, the tests and the benchmark share: the memoised
-  * synthetic lakes, the 10-document evaluation sample, and percentage
-  * rounding.
+/** What the paper tables, the jobs, the tests and the benchmark share: the one
+  * SparkSession factory, the memoised synthetic lakes, the 10-document
+  * evaluation sample, and percentage rounding.
   */
 object Harness {
+
+  /** Every SparkSession the program builds: the jobs' and the tests' (through
+    * `SparkSpec.shared`). The master comes from `SPARK_MASTER` (default
+    * `local[*]`). Shuffles use 64 partitions, far more than the small lakes
+    * need, so results that depended on partitioning would show. No UI.
+    */
+  def session(appName: String): SparkSession =
+    SparkSession.builder()
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(appName)
+      .config("spark.sql.shuffle.partitions", "64")
+      .config("spark.ui.enabled", "false")
+      .getOrCreate()
 
   private val lakes = mutable.Map.empty[(String, Int, Long), (DataFrame, DataFrame)]
 

@@ -1,23 +1,16 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.eval.Harness
 
-/** Base for every Spark test: one local-mode SparkSession for the whole run,
-  * also used by the bench suites and the benchmark.
-  *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM. Shuffles use 64 partitions unless
-  * SPARK_SHUFFLE_PARTITIONS says otherwise, far more than the small test
-  * lakes need, so results that depended on partitioning would show. Broadcast
-  * joins are disabled, so a join on these small inputs still runs as the
-  * shuffle join it would be on a large lake.
+/** Base for every Spark test: one SparkSession for the whole run, also used
+  * by the bench suites and the benchmark. It is the program's own session,
+  * `Harness.session("repro")`; the driver heap is set via
+  * ``Test / javaOptions`` in build.sbt from SPARK_DRIVER_MEM.
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 
   /** Runs `body` with the given SQL confs set, then restores their old values. */
   def withConf[T](settings: (String, String)*)(body: => T): T = {
@@ -33,15 +26,8 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    val s = Harness.session("repro")
+    // One line in test output that shows the heap and master a run got.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

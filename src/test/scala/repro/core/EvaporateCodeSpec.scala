@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import repro.SparkSpec
 import repro.docs.{Corpora, DocLake}
 import repro.eval.Metrics
@@ -17,6 +18,12 @@ class EvaporateCodeSpec extends SparkSpec {
     val v = EvaporateCode.run(spark, Corpora.fda, docs, Profile.davinci, seed, k)
     assert(v.table.columns.toSeq == Seq("doc_id", "attr", "value"))
     assert(v.table.count() > 0)
+  }
+
+  test("a code+ view's table is a local relation, so collecting it starts no Spark job") {
+    val v = EvaporateCode.run(spark, Corpora.fda, docs, Profile.davinci, seed, k)
+    assert(v.table.queryExecution.optimizedPlan.isInstanceOf[LocalRelation],
+      v.table.queryExecution.optimizedPlan.getClass.getName)
   }
 
   test("code+ is deterministic") {
