@@ -7,7 +7,8 @@ import org.apache.spark.sql.types.{StringType, StructField, StructType}
 /** Output of an Evaporate run: the materialized structured view.
   *
   * @param table   extracted tuples (doc_id, attr, value), attr restricted to
-  *                the system's top-k schema
+  *                the system's top-k schema; a local relation (`tuplesDf`)
+  *                for every system, so reading it starts no Spark job
   * @param schema  the full ranked attribute list the system identified
   * @param tokenBreakdown tokens processed by the LLM for this run, by call
   *                site (schema / synthesis / eval / validate, or direct /

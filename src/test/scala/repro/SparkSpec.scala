@@ -1,5 +1,8 @@
 package repro
 
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.funsuite.AnyFunSuite
 import repro.eval.Harness
@@ -22,9 +25,45 @@ trait SparkSpec extends AnyFunSuite {
       case (k, None)    => spark.conf.unset(k)
     }
   }
+
+  /** Runs `body` and returns its result with the number of Spark jobs it
+    * started. The listener bus delivers events in order, so a marker job
+    * run before `body` skips the events of earlier jobs, and one run after
+    * it waits until every job of `body` has been seen.
+    */
+  def withJobCount[T](body: => T): (T, Int) = {
+    val sc      = spark.sparkContext
+    val started = new AtomicInteger
+    // Each marker job's name, with the jobs started since the last marker.
+    val markers = new LinkedBlockingQueue[(String, Int)]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty(SparkSpec.MarkerKey))) match {
+          case Some(m) => markers.put((m, started.getAndSet(0)))
+          case None    => started.incrementAndGet()
+        }
+    }
+    def marker(name: String): Int = {
+      sc.setLocalProperty(SparkSpec.MarkerKey, name)
+      try sc.parallelize(Seq(1), 1).count()
+      finally sc.setLocalProperty(SparkSpec.MarkerKey, null)
+      val seen = markers.poll(60, TimeUnit.SECONDS)
+      assert(seen != null && seen._1 == name, s"listener never saw the $name marker job")
+      seen._2
+    }
+    sc.addSparkListener(listener)
+    try {
+      marker("before")
+      val result = body
+      (result, marker("after"))
+    } finally sc.removeSparkListener(listener)
+  }
 }
 
 object SparkSpec {
+  /** The local property that marks `withJobCount`'s marker jobs. */
+  private val MarkerKey = "repro.test.jobCountMarker"
+
   lazy val shared: SparkSession = {
     val s = Harness.session("repro")
     // One line in test output that shows the heap and master a run got.

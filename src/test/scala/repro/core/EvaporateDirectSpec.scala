@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.docs.{Corpora, DocLake, Naming}
@@ -49,12 +51,52 @@ class EvaporateDirectSpec extends SparkSpec {
   }
 
   test("oracle: attribute frequency ranking agrees with DuckDB") {
-    val v = EvaporateDirect.run(spark, Corpora.enron, docs, Profile.davinci, seed, 15)
-    val freq = v.table.groupBy("attr").agg(countDistinct(col("doc_id")) as "freq")
+    import spark.implicits._
+    // With k past the schema size the table holds every tuple.
+    val v = EvaporateDirect.run(spark, Corpora.enron, docs, Profile.davinci, seed, Int.MaxValue)
+    val ranks = v.schema.zipWithIndex.map { case (attr, i) => (attr, i + 1) }.toDF("attr", "rank")
     Oracle.assertEquivalent(
-      freq,
-      "SELECT attr, COUNT(DISTINCT doc_id) AS freq FROM t GROUP BY attr",
+      ranks,
+      "SELECT attr, ROW_NUMBER() OVER (ORDER BY COUNT(DISTINCT doc_id) DESC, attr) AS rank " +
+        "FROM t GROUP BY attr",
       "t" -> v.table)
+  }
+
+  test("a view, open or closed, starts one Spark job, and reading its table starts none") {
+    docs.count()
+    val views = Seq(
+      withJobCount(EvaporateDirect.run(spark, Corpora.enron, docs, Profile.davinci, seed, 15)),
+      withJobCount(EvaporateDirect.runClosed(spark, Corpora.enron, docs, Profile.davinci, seed,
+        Corpora.enron.goldAttrs)))
+    views.foreach { case (v, jobs) =>
+      assert(jobs == 1)
+      assert(v.table.queryExecution.optimizedPlan.isInstanceOf[LocalRelation],
+        v.table.queryExecution.optimizedPlan.getClass.getName)
+      assert(withJobCount(v.table.collect())._2 == 0)
+    }
+  }
+
+  test("a repeated document counts once in the ranking and twice in tokens and the table") {
+    val one = docs.where(col("doc_id") === "enron-doc-0")
+    def run(d: DataFrame) = EvaporateDirect.run(spark, Corpora.enron, d, Profile.davinci, seed, 15)
+    val (plain, repeated, single) = (run(docs), run(docs.union(one)), run(one))
+    def rows(v: StructuredView) = v.table.collect().toSeq.map(_.toSeq.mkString("\t"))
+    val copy = rows(plain).filter(_.startsWith("enron-doc-0\t"))
+    assert(copy.nonEmpty)
+    assert(repeated.schema == plain.schema)
+    assert(repeated.tokens == plain.tokens + single.tokens)
+    assert(rows(repeated).sorted == (rows(plain) ++ copy).sorted)
+  }
+
+  test("value cleaning strips only U+0020 at the edges, as Spark SQL's trim, and drops blanks") {
+    import spark.implicits._
+    assert(EvaporateDirect.cleanValue("  a\tb  ").contains("a\tb"))
+    assert(EvaporateDirect.cleanValue("\n x \n").contains("\n x \n"))
+    Seq("   ", "", null).foreach(v => assert(EvaporateDirect.cleanValue(v).isEmpty, s"'$v'"))
+    val samples = Seq("  a\tb  ", "\n x \n", "   ", "", null)
+    val sparkTrim = samples.toDF("v").select(trim(col("v"))).collect().toSeq
+      .map(r => Option(r.getString(0)).filter(_.nonEmpty))
+    assert(sparkTrim == samples.map(EvaporateDirect.cleanValue))
   }
 
   test("closed run extracts only the requested attributes") {
