@@ -1,5 +1,6 @@
 package repro.docs
 
+import java.util.regex.Pattern
 import repro.fn.ExtractorSet
 import repro.util.Rng
 
@@ -71,6 +72,8 @@ final case class Setting(
   * synthesis, and the metrics (lowercase, alphanumeric words).
   */
 object Naming {
+  private val NonAlnum = Pattern.compile("[^a-z0-9]+")
+
   def normalize(s: String): String =
-    s.toLowerCase.replaceAll("[^a-z0-9]+", " ").trim
+    NonAlnum.matcher(s.toLowerCase).replaceAll(" ").trim
 }

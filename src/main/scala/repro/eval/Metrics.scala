@@ -1,5 +1,6 @@
 package repro.eval
 
+import java.util.regex.Pattern
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.docs.Naming
 
@@ -20,11 +21,12 @@ import repro.docs.Naming
   */
 object Metrics {
 
+  private val Punctuation = Pattern.compile("[^a-z0-9\\s]")
+  private val Spaces      = Pattern.compile("\\s+")
+
   /** SQuAD normalization: lowercase, strip punctuation and articles. */
   def normalizeAnswer(s: String): Seq[String] =
-    s.toLowerCase
-      .replaceAll("[^a-z0-9\\s]", " ")
-      .split("\\s+")
+    Spaces.split(Punctuation.matcher(s.toLowerCase).replaceAll(" "))
       .filter(t => t.nonEmpty && t != "a" && t != "an" && t != "the")
       .toSeq
 
@@ -101,7 +103,7 @@ object Metrics {
   def pairF1(pred: DataFrame, gold: DataFrame): Prf = {
     // The collapse leaves at most one space at either end.
     def canon(df: DataFrame): Set[Tuple] = tuples(df).collect {
-      case (d, a, v) if v != null => (d, a, v.replaceAll("\\s+", " ").stripPrefix(" ").stripSuffix(" "))
+      case (d, a, v) if v != null => (d, a, Spaces.matcher(v).replaceAll(" ").stripPrefix(" ").stripSuffix(" "))
     }.filter(_._3.nonEmpty).toSet
     val (p, g) = (canon(pred), canon(gold))
     prf(p.intersect(g).size.toLong, p.size.toLong, g.size.toLong)

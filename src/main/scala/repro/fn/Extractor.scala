@@ -1,6 +1,6 @@
 package repro.fn
 
-import java.util.regex.Pattern
+import java.util.regex.{Matcher, Pattern}
 import scala.collection.mutable
 import scala.util.control.NonFatal
 import scala.util.matching.Regex
@@ -13,14 +13,16 @@ import scala.util.matching.Regex
   * serializable AST, interpreted by pure string operations — safe to ship
   * inside Spark UDF closures and cheap enough to run at scale. Functions run
   * together as an [[ExtractorSet]], which scans each document once for all
-  * its `KeyColon` and `TagRow` members. Measured on a 4-vCPU VM (JDK 17,
-  * 2,500 rendered documents, the full-Algorithm-1 kept set at system seed
-  * 42, three runs): FDA's 41 kept functions take 270–460 µs per ~8 KB
-  * document, of which its 11 `RegexCapture`s take 220–270 µs and its 25
-  * `KeyColon`s 12–18 µs; SWDE Movie's 24 take 100–140 µs, its 12 `TagRow`s
-  * 14–21 µs. The paper reports ~0.25 ms per function-document pair for its
-  * Python functions. The simulated LLM reads documents through the same
-  * interpreter: each field format names its exact reader (`Style.reader`).
+  * its `KeyColon` and `TagRow` members; the four regex kinds try their
+  * pattern only where its own leading literal occurs ([[FirstMatch]]).
+  * Measured on a 4-vCPU VM (JDK 17, one thread, warm JVM, 1,000 rendered
+  * documents, the full-Algorithm-1 kept set at system seed 42, median of 7
+  * passes): FDA's 41 kept functions take 53 µs per ~8 KB document, its 13
+  * regex-kind members 22 µs of that; Wiki NBA's 51 take 169 µs (regex kinds
+  * 71 µs); SWDE Movie's 24 take 55 µs (regex kinds 16 µs). The paper reports
+  * ~0.25 ms per function-document pair for its Python functions. The
+  * simulated LLM reads documents through the same interpreter: each field
+  * format names its exact reader (`Style.reader`).
   *
   * The taxonomy mirrors the failure modes the paper observes: functions can
   * be *broken* (don't compile, so never produce a value), *narrow* (work
@@ -69,7 +71,22 @@ object Extractor {
   /** `s` with ASCII letters lower-cased and every other char kept: the case
     * folding of a `(?i)` regex without UNICODE_CASE.
     */
-  private[fn] def asciiLower(s: String): String = s.map(c => if (c >= 'A' && c <= 'Z') (c | 0x20).toChar else c)
+  private[fn] def asciiLower(s: String): String = {
+    var i = 0
+    while (i < s.length && !isAsciiUpper(s.charAt(i))) i += 1
+    if (i == s.length) return s
+    val cs = s.toCharArray
+    while (i < cs.length) {
+      if (isAsciiUpper(cs(i))) cs(i) = (cs(i) | 0x20).toChar
+      i += 1
+    }
+    new String(cs)
+  }
+
+  /** `c` with an ASCII upper-case letter lowered: [[asciiLower]] of one char. */
+  private[fn] def asciiLower(c: Char): Char = if (isAsciiUpper(c)) (c | 0x20).toChar else c
+
+  private def isAsciiUpper(c: Char): Boolean = c >= 'A' && c <= 'Z'
 
   /** A line terminator of `java.util.regex` without UNIX_LINES: what `.`
     * does not match and what `^` follows under MULTILINE.
@@ -127,14 +144,32 @@ object Extractor {
     def describe: String = s"keycolon('$label', ci=$caseInsensitive, cont=$continuation)"
   }
 
-  /** Regex with one capture group (or the whole match when there is none) —
-    * what prompt P_A (regex-flavored) tends to produce.
+  /** A kind that reads a document with one regex: the value comes from the
+    * regex's leftmost match, found by [[FirstMatch]], which tries the regex
+    * only where its own literals allow a match to start. The match starts
+    * the hit.
     */
-  final case class RegexCapture(pattern: String) extends Extractor {
-    @transient private lazy val compiled = new Regex(pattern)
-    private[fn] def run(scan: ExtractorSet.Scan): Hit = compiled.findFirstMatchIn(scan.text)
-      .fold(Miss)(m => Hit(if (m.groupCount >= 1) m.group(1) else m.matched, m.start))
-    def describe: String = s"regex($pattern)"
+  sealed trait RegexKind extends Extractor {
+    /** The pattern, compiled once per instance. */
+    private[fn] def regex: String
+    /** The value the leftmost match gives. */
+    protected def value(m: Matcher): String
+
+    @transient private lazy val compiled = new FirstMatch(regex)
+    private[fn] final def run(scan: ExtractorSet.Scan): Hit =
+      compiled.in(scan.text).fold(Miss)(m => Hit(value(m), m.start))
+  }
+
+  /** Regex with one capture group (or the whole match when there is none) —
+    * what prompt P_A (regex-flavored) tends to produce. P_A's key-colon
+    * regex is tried only at the line starts where its label occurs, its row
+    * regex only where `>` and `\s*` precede the label, and its meta, title
+    * and href regexes only at their opening literal.
+    */
+  final case class RegexCapture(pattern: String) extends RegexKind {
+    private[fn] def regex: String           = pattern
+    protected def value(m: Matcher): String = if (m.groupCount >= 1) m.group(1) else m.group()
+    def describe: String                    = s"regex($pattern)"
   }
 
   /** Substring between two literal anchors — synthesized from inline-prose
@@ -184,37 +219,37 @@ object Extractor {
     def describe: String = s"tagrow('$label', ci=$caseInsensitive, strip=$stripMarkup, tag=$valueTag)"
   }
 
-  /** `<meta itemprop|name|property="prop" content="value">` extractor. */
-  final case class MetaContent(prop: String) extends Extractor {
-    @transient private lazy val pat = new Regex(
+  /** `<meta itemprop|name|property="prop" content="value">` extractor, tried
+    * at each `<meta` (ASCII case folded).
+    */
+  final case class MetaContent(prop: String) extends RegexKind {
+    private[fn] def regex: String =
       "(?i)<meta[^>]*(?:itemprop|name|property)=\"" + Regex.quote(prop) + "\"[^>]*content=\"([^\"]*)\""
-    )
-    private[fn] def run(scan: ExtractorSet.Scan): Hit =
-      pat.findFirstMatchIn(scan.text).fold(Miss)(m => Hit(m.group(1), m.start))
-    def describe: String = s"meta('$prop')"
+    protected def value(m: Matcher): String = m.group(1)
+    def describe: String                    = s"meta('$prop')"
   }
 
-  /** `<title>value SEP site</title>` extractor. */
-  final case class TitleBefore(sep: String) extends Extractor {
-    @transient private lazy val pat = new Regex("(?is)<title>(.*?)</title>")
-    private[fn] def run(scan: ExtractorSet.Scan): Hit =
-      pat.findFirstMatchIn(scan.text).fold(Miss) { m =>
-        val t = m.group(1)
-        val i = t.indexOf(sep)
-        Hit(if (i < 0) t else t.substring(0, i), m.start)
-      }
+  /** `<title>value SEP site</title>` extractor, tried at each `<title>`
+    * (ASCII case folded).
+    */
+  final case class TitleBefore(sep: String) extends RegexKind {
+    private[fn] def regex: String = "(?is)<title>(.*?)</title>"
+    protected def value(m: Matcher): String = {
+      val t = m.group(1)
+      val i = t.indexOf(sep)
+      if (i < 0) t else t.substring(0, i)
+    }
     def describe: String = s"titleBefore('$sep')"
   }
 
   /** `<a href="/prefix/...">value</a>` extractor — attributes encoded in
     * link targets, which DOM-leaf baselines ignore (the SWDE-Plus point).
+    * Tried at each `<a href="prefix` (ASCII case folded).
     */
-  final case class HrefAnchor(prefix: String) extends Extractor {
-    @transient private lazy val pat =
-      new Regex("(?i)<a href=\"" + Regex.quote(prefix) + "[^\"]*\"[^>]*>(.*?)</a>")
-    private[fn] def run(scan: ExtractorSet.Scan): Hit =
-      pat.findFirstMatchIn(scan.text).fold(Miss)(m => Hit(stripTags(m.group(1)), m.start))
-    def describe: String = s"href('$prefix')"
+  final case class HrefAnchor(prefix: String) extends RegexKind {
+    private[fn] def regex: String           = "(?i)<a href=\"" + Regex.quote(prefix) + "[^\"]*\"[^>]*>(.*?)</a>"
+    protected def value(m: Matcher): String = stripTags(m.group(1))
+    def describe: String                    = s"href('$prefix')"
   }
 
   /** Wraps a working extractor with the paper's "sloppy" failure mode:

@@ -79,39 +79,72 @@ object Aggregation {
     * precisely the off-the-shelf-WS weakness the paper identifies.
     */
   def interpretVote(raw: String, e: Double, mode: Mode): Option[String] =
-    if (raw.nonEmpty) Some(raw)
-    else mode match {
-      case WsFull if e > Tau => None
-      case _                 => Some("")
-    }
+    Option(vote(raw, emptyAbstains(e, mode)))
+
+  private def emptyAbstains(e: Double, mode: Mode): Boolean = mode == WsFull && e > Tau
+
+  /** `raw` as a vote, or null for an abstention. */
+  private def vote(raw: String, emptyAbstains: Boolean): String = if (raw.isEmpty && emptyAbstains) null else raw
 
   /** Step 6/7 bucketing: keep each document's top-b distinct values by vote
     * count; votes outside the top-b become abstentions.
     */
   def bucketRow(row: IndexedSeq[Option[String]], b: Int = VoteBuckets): IndexedSeq[Option[String]] = {
-    val counts = row.flatten.groupBy(identity).view.mapValues(_.size).toMap
-    val top = counts.toSeq.sortBy { case (v, c) => (-c, v) }.take(b).map(_._1).toSet
-    row.map(_.filter(top.contains))
+    val m = VoteMatrix.of(IndexedSeq(row), row.length)
+    bucket(m, b)
+    row.indices.map(j => if (m.vote(0, j) == VoteMatrix.Abstain) None else row(j))
+  }
+
+  /** [[bucketRow]] on every row of `m`, in place: a row keeps the votes for
+    * its top-b ids by count, then by value string; its other votes abstain.
+    */
+  private[ws] def bucket(m: VoteMatrix, b: Int): Unit = {
+    val ids    = new Array[Int](m.nFns) // the row's distinct ids
+    val counts = new Array[Int](m.nFns)
+    def ranksBefore(t: Int, u: Int): Boolean =
+      counts(t) > counts(u) || counts(t) == counts(u) && m.compareValues(ids(t), ids(u)) < 0
+    for (d <- 0 until m.nDocs) {
+      var k = 0
+      for (j <- 0 until m.nFns) {
+        val id = m.vote(d, j)
+        if (id != VoteMatrix.Abstain) {
+          var t = 0
+          while (t < k && ids(t) != id) t += 1
+          if (t == k) { ids(k) = id; counts(k) = 0; k += 1 }
+          counts(t) += 1
+        }
+      }
+      if (k > b) {
+        val top = (0 until k).sortWith(ranksBefore).take(b).map(ids)
+        for (j <- 0 until m.nFns if m.vote(d, j) != VoteMatrix.Abstain && !top.contains(m.vote(d, j)))
+          m.abstain(d, j)
+      }
+    }
   }
 
   /** Step 7: aggregate a full vote matrix into one prediction per document.
+    *
+    * The raw outputs are interned into one [[VoteMatrix]], bucketed, and fit
+    * and predicted by [[LabelModel]] over `Int` ids.
     *
     * @param rows docId -> raw outputs of the selected functions (aligned)
     * @return docId -> final extraction ("" = no value predicted)
     */
   def aggregate(rows: Seq[(String, IndexedSeq[String])], e: Double, mode: Mode): Map[String, String] = {
     if (rows.isEmpty) return Map.empty
-    val nFns = rows.head._2.length
-    val interpreted: IndexedSeq[(String, IndexedSeq[Option[String]])] =
-      rows.toIndexedSeq.map { case (id, raw) =>
-        id -> bucketRow(raw.map(interpretVote(_, e, mode)))
-      }
+    val docs     = rows.toIndexedSeq
+    val abstains = emptyAbstains(e, mode)
+    val votes = VoteMatrix(docs.size, docs.head._2.length) { (d, j) =>
+      val raw = docs(d)._2
+      if (j < raw.length) vote(raw(j), abstains) else null
+    }
+    bucket(votes, VoteBuckets)
 
     val w: Array[Double] = mode match {
-      case MajorityVote => Array.fill(nFns)(1.0)
-      case _            => LabelModel.weights(LabelModel.fitAccuracies(interpreted.map(_._2), nFns))
+      case MajorityVote => Array.fill(votes.nFns)(1.0)
+      case _            => LabelModel.weights(LabelModel.fit(votes))
     }
 
-    interpreted.map { case (id, row) => id -> LabelModel.predict(row, w) }.toMap
+    docs.indices.map(d => docs(d)._1 -> votes.value(LabelModel.predict(votes, d, w))).toMap
   }
 }

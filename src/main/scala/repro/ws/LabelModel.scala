@@ -11,28 +11,15 @@ package repro.ws
   * Votes are open-vocabulary strings (the paper's Assumption-3 gap); we use
   * string equality as the agreement signal and a single accuracy per
   * function — the paper's "class-conditional accuracies equal" constraint.
-  * `None` marks an abstention and is excluded from agreement statistics
-  * (the paper's Assumption-1 gap, supplied by Algorithm 1's `e`-based
-  * abstention post-processing).
+  * An abstention (`None`) is excluded from agreement statistics (the paper's
+  * Assumption-1 gap, supplied by Algorithm 1's `e`-based abstention
+  * post-processing).
+  *
+  * The fit and the prediction run over a [[VoteMatrix]], where each distinct
+  * value is one `Int` id, so equal ids are equal strings; `fitAccuracies`
+  * and `predict` adapt `Option[String]` rows to it.
   */
 object LabelModel {
-
-  /** Pairwise agreement probability over documents where both functions
-    * vote. Returns -1 when support < 3 (uninformative).
-    */
-  private def pairAgreement(vi: IndexedSeq[Option[String]],
-                            vj: IndexedSeq[Option[String]]): Double = {
-    var agree = 0; var both = 0
-    var d = 0
-    while (d < vi.length) {
-      (vi(d), vj(d)) match {
-        case (Some(a), Some(b)) => both += 1; if (a == b) agree += 1
-        case _                  => ()
-      }
-      d += 1
-    }
-    if (both < 3) -1.0 else agree.toDouble / both
-  }
 
   /** Estimate per-function accuracies from the vote matrix.
     *
@@ -42,19 +29,49 @@ object LabelModel {
     * triplet identity becomes a_i = sqrt(p_ij * p_ik / p_jk) — a cleaner
     * fit than the ±1-correlation form used for binary classification.
     *
-    * @param votes votes(doc)(fn): Some(value) or None (abstain)
+    * @param votes votes(doc)(fn): Some(value) or None (abstain); a row is
+    *              read up to `nFns` votes, and a shorter one abstains after
+    *              its end
     * @return accuracy in (0,1) per function
     */
-  def fitAccuracies(votes: IndexedSeq[IndexedSeq[Option[String]]], nFns: Int): Array[Double] = {
-    if (votes.isEmpty || nFns == 0) return Array.empty
-    val byFn: IndexedSeq[IndexedSeq[Option[String]]] =
-      (0 until nFns).map(j => votes.map(row => if (j < row.length) row(j) else None))
+  def fitAccuracies(votes: IndexedSeq[IndexedSeq[Option[String]]], nFns: Int): Array[Double] =
+    fit(VoteMatrix.of(votes, nFns))
 
+  /** [[fitAccuracies]] on interned votes. Its sufficient statistics are, for
+    * each pair of functions, the documents where both vote and those where
+    * they agree (the pairwise agreement p_ij = agree / both, or -1 when
+    * support < 3, too little to inform).
+    */
+  private[ws] def fit(m: VoteMatrix): Array[Double] = {
+    val nFns = m.nFns
+    if (m.nDocs == 0 || nFns == 0) return Array.empty
+    val both, agree = Array.ofDim[Int](nFns, nFns)
+    var d = 0
+    while (d < m.nDocs) {
+      var i = 0
+      while (i < nFns) {
+        val vi = m.vote(d, i)
+        if (vi != VoteMatrix.Abstain) {
+          var j = i + 1
+          while (j < nFns) {
+            val vj = m.vote(d, j)
+            if (vj != VoteMatrix.Abstain) {
+              both(i)(j) += 1
+              if (vi == vj) agree(i)(j) += 1
+            }
+            j += 1
+          }
+        }
+        i += 1
+      }
+      d += 1
+    }
     val p = Array.fill(nFns, nFns)(-1.0)
     for (i <- 0 until nFns; j <- (i + 1) until nFns) {
-      val a = pairAgreement(byFn(i), byFn(j))
+      val a = if (both(i)(j) < 3) -1.0 else agree(i)(j).toDouble / both(i)(j)
       p(i)(j) = a; p(j)(i) = a
     }
+    lazy val plur = plurality(m)
 
     val eps = 0.05
     (0 until nFns).map { i =>
@@ -76,16 +93,12 @@ object LabelModel {
         } else {
           // Degenerate agreement graph: fall back to agreement with the
           // per-document plurality (excluding abstentions).
-          val plur = votes.map { row =>
-            val cast = row.flatten
-            if (cast.isEmpty) None
-            else Some(cast.groupBy(identity).maxBy { case (v, g) => (g.size, v) }._1)
-          }
           var agree = 0; var n = 0
-          votes.indices.foreach { d =>
-            (byFn(i)(d), plur(d)) match {
-              case (Some(v), Some(pl)) => n += 1; if (v == pl) agree += 1
-              case _                   => ()
+          for (d <- 0 until m.nDocs) {
+            val v = m.vote(d, i)
+            if (v != VoteMatrix.Abstain && plur(d) != VoteMatrix.Abstain) {
+              n += 1
+              if (v == plur(d)) agree += 1
             }
           }
           if (n == 0) 0.5 else agree.toDouble / n
@@ -94,6 +107,16 @@ object LabelModel {
       // (0.5, 1) so log-odds weights are finite and non-negative.
       math.min(0.98, math.max(0.51, a))
     }.toArray
+  }
+
+  /** Each document's plurality vote, abstentions excluded: the most votes,
+    * ties toward the larger value string; Abstain when nobody votes.
+    */
+  private def plurality(m: VoteMatrix): Array[Int] = Array.tabulate(m.nDocs) { d =>
+    val votes = (0 until m.nFns).map(m.vote(d, _)).filter(_ != VoteMatrix.Abstain)
+    if (votes.isEmpty) VoteMatrix.Abstain
+    else votes.groupBy(identity).map { case (v, g) => (v, g.size) }
+      .reduce { (a, b) => if (a._2 > b._2 || a._2 == b._2 && m.compareValues(a._1, b._1) > 0) a else b }._1
   }
 
   /** Log-odds voting weights from accuracies. */
@@ -105,14 +128,36 @@ object LabelModel {
     * for determinism. Returns "" when every function abstained.
     */
   def predict(row: IndexedSeq[Option[String]], w: Array[Double]): String = {
-    val scores = scala.collection.mutable.Map.empty[String, Double]
-    row.indices.foreach { j =>
-      row(j).foreach { v =>
-        val wj = if (j < w.length) w(j) else 0.0
-        scores(v) = scores.getOrElse(v, 0.0) + wj
+    val m = VoteMatrix.of(IndexedSeq(row), row.length)
+    m.value(predict(m, 0, w))
+  }
+
+  /** [[predict]] on document `d` of `m`: the winning id, or Abstain. Each
+    * id's weight is summed in function order; a function past `w`'s end
+    * weighs 0.
+    */
+  private[ws] def predict(m: VoteMatrix, d: Int, w: Array[Double]): Int = {
+    val ids    = new Array[Int](m.nFns)
+    val scores = new Array[Double](m.nFns)
+    var k      = 0
+    var j      = 0
+    while (j < m.nFns) {
+      val id = m.vote(d, j)
+      if (id != VoteMatrix.Abstain) {
+        var t = 0
+        while (t < k && ids(t) != id) t += 1
+        if (t == k) { ids(k) = id; scores(k) = 0.0; k += 1 }
+        scores(t) += (if (j < w.length) w(j) else 0.0)
       }
+      j += 1
     }
-    if (scores.isEmpty) ""
-    else scores.toSeq.minBy { case (v, s) => (-s, v) }._1
+    var best = -1
+    var t    = 0
+    while (t < k) {
+      val c = if (best < 0) 1 else java.lang.Double.compare(scores(t), scores(best))
+      if (c > 0 || c == 0 && m.compareValues(ids(t), ids(best)) < 0) best = t
+      t += 1
+    }
+    if (best < 0) VoteMatrix.Abstain else ids(best)
   }
 }

@@ -1,8 +1,10 @@
 package repro.core
 
 import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.docs.{Corpora, DocLake}
+import repro.fn.ExtractorSet
 import repro.eval.Metrics
 import repro.llm.Profile
 import repro.ws.Aggregation
@@ -118,5 +120,42 @@ class EvaporateCodeSpec extends SparkSpec {
       givenSchema = Some(Seq("applicant", "made up attribute", "product code")))
     val attrs = v.table.select("attr").distinct().collect().map(_.getString(0)).toSet
     assert(!attrs.contains("made up attribute"))
+  }
+
+  test("duplicate doc_ids: the label model counts both copies of a document") {
+    // Three functions. On X, f0 says "a" and f1 says "b" while f2 abstains,
+    // so X takes the value of whichever of f0 and f1 the fit trusts more. Y
+    // (f1 and f2 against f0) and Z (f0 and f2 against f1) balance each other
+    // once each; a second copy of Y tips the fit toward f1.
+    val base = Seq.tabulate(3)(i => (s"all$i", IndexedSeq(s"v$i", s"v$i", s"v$i"))) ++
+      Seq("Z" -> IndexedSeq("q", "r", "q"), "X" -> IndexedSeq("a", "b", ""))
+    val y    = "Y" -> IndexedSeq("y", "z", "z")
+    assert(Aggregation.aggregate(base :+ y, 1.0, Aggregation.WsFull)("X") == "a")
+    val twice = Aggregation.aggregate(base :+ y :+ y, 1.0, Aggregation.WsFull)
+    assert(twice("X") == "b")
+    assert(twice.size == base.size + 1, "one prediction per doc_id")
+  }
+
+  test("duplicate doc_ids: a document repeated by union gives one tuple per (doc_id, attr), for Code and Code+") {
+    val id   = docs.select("doc_id").head().getString(0)
+    val lake = docs.union(docs.where(col("doc_id") === id))
+    val texts = lake.collect().map(r => (r.getString(0), r.getString(1))).toSeq
+    assert(texts.size == 41 && texts.count(_._1 == id) == 2)
+    for (cfg <- Seq(CodeConfig(), CodeConfig(singleFunction = true))) {
+      val plan   = EvaporateCode.plan(Corpora.fda, Profile.davinci, seed, k, cfg)
+      val tuples = EvaporateCode.apply(spark, plan, lake, Seq(cfg.mode)).head.table.collect()
+        .map(r => (r.getString(0), r.getString(1), r.getString(2))).toSeq
+      assert(tuples.exists(_._1 == id), s"singleFunction=${cfg.singleFunction}")
+      assert(tuples.groupBy(t => (t._1, t._2)).values.forall(_.size == 1), s"singleFunction=${cfg.singleFunction}")
+      // Each attribute's tuples are the aggregate of rows that hold both copies.
+      for (a <- plan.attrs) {
+        val set   = new ExtractorSet(a.keep(cfg.mode))
+        val rows  = texts.map { case (d, t) => (d, set.extract(t)) }
+        val fromBoth = Aggregation.aggregate(rows, a.e, cfg.mode)
+          .collect { case (d, v) if v.trim.nonEmpty => (d, a.attr, v.trim) }.toSet
+        val inView = tuples.filter(_._2 == a.attr).toSet
+        assert(inView.isEmpty || inView == fromBoth, s"${a.attr} singleFunction=${cfg.singleFunction}")
+      }
+    }
   }
 }
