@@ -139,7 +139,7 @@ object EvaporateCode {
         val slots = fns.map(slotOf).toIndexedSeq
         val rows  = outputs.toSeq.map { case (id, outs) => (id, slots.map(outs)) }
         a -> Aggregation.aggregate(rows, a.e, mode)
-          .collect { case (id, v) if v.trim.nonEmpty => (id, a.attr, v.trim) }.toSeq
+          .collect { case (id, v) if v.nonEmpty => (id, a.attr, v) }.toSeq
       }
 
       // -- 4. unsupervised schema validation (prompt E.4) --------------------

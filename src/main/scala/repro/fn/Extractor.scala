@@ -11,16 +11,17 @@ import scala.util.matching.Regex
   * functions (`get_<attr>_field(text)`), which are then executed over every
   * document. In this reproduction a synthesized function is a node of this
   * serializable AST, interpreted by pure string operations — safe to ship
-  * inside Spark UDF closures and cheap enough to run at scale. Functions run
-  * together as an [[ExtractorSet]], which scans each document once for all
-  * its `KeyColon` and `TagRow` members; the four regex kinds try their
-  * pattern only where its own leading literal occurs ([[FirstMatch]]).
-  * Measured on a 4-vCPU VM (JDK 17, one thread, warm JVM, 1,000 rendered
-  * documents, the full-Algorithm-1 kept set at system seed 42, median of 7
-  * passes): FDA's 41 kept functions take 53 µs per ~8 KB document, its 13
-  * regex-kind members 22 µs of that; Wiki NBA's 51 take 169 µs (regex kinds
-  * 71 µs); SWDE Movie's 24 take 55 µs (regex kinds 16 µs). The paper reports
-  * ~0.25 ms per function-document pair for its Python functions. The
+  * inside Spark UDF closures and cheap enough to run at scale. Every kind
+  * that reads a document with a regex is a [[Extractor.RegexKind]], which
+  * finds its leftmost match through [[FirstMatch]], the one regex runtime.
+  * Functions run together as an [[ExtractorSet]], whose shared line and row
+  * indexes give the key-colon and row regexes their match starts. Measured
+  * on a 4-vCPU VM (JDK 17, one thread, warm JVM, 1,000 rendered documents,
+  * the full-Algorithm-1 kept set at system seed 42, median of 3 runs of the
+  * median of 9 passes): FDA's 41 kept functions take 42 µs per ~9.7k-char
+  * document, Wiki NBA's 51 take 69 µs per ~18k chars, SWDE Movie's 24 take
+  * 24 µs per ~6.8k chars and Enron's 50 take 25 µs per ~1.2k chars. The paper
+  * reports ~0.25 ms per function-document pair for its Python functions. The
   * simulated LLM reads documents through the same interpreter: each field
   * format names its exact reader (`Style.reader`).
   *
@@ -107,69 +108,61 @@ object Extractor {
     def describe: String                              = s"broken($reason)"
   }
 
-  /** `Label: value` line extractor — the dominant pattern for TXT lakes. It
-    * reads the first line that opens with `label:` (the regex
-    * `(?m)^label:[ \t]*(.*)$`, `(?im)` when case-insensitive), looked up in
-    * the scan's line index; the match starts at that line.
+  /** A kind that reads a document with one regex: the value comes from the
+    * regex's leftmost match, found by [[FirstMatch]], which tries the regex
+    * only where its matches can start: at the sites of the scan's line or row
+    * index for the key-colon and row forms, and otherwise where its leading
+    * literal occurs. The match starts the hit.
+    */
+  sealed trait RegexKind extends Extractor {
+    /** The pattern, compiled once per instance. */
+    private[fn] def regex: String
+    /** The value the leftmost match in `text` gives. */
+    protected def value(m: Matcher, text: String): String
+
+    @transient private[fn] lazy val firstMatch = new FirstMatch(regex)
+    private[fn] final def run(scan: ExtractorSet.Scan): Hit =
+      firstMatch.in(scan).fold(Miss)(m => Hit(value(m, scan.text), m.start))
+  }
+
+  /** `Label: value` line extractor — the dominant pattern for TXT lakes: the
+    * regex `(?m)^label:[ \t]*(.*)$` (`(?im)` when case-insensitive), which
+    * reads the first line that opens with `label:`.
     *
     * @param continuation when true, indented continuation lines are folded
     *                     into the value (multi-line email headers); when
     *                     false the value is truncated at the newline.
     */
   final case class KeyColon(label: String, caseInsensitive: Boolean,
-                            continuation: Boolean) extends Extractor {
-    private[fn] def run(scan: ExtractorSet.Scan): Hit = {
-      val line = scan.keyLine(label, caseInsensitive)
-      if (line < 0) return Miss
-      val text = scan.text
-      var from = line + label.length + 1
-      while (from < text.length && (text.charAt(from) == ' ' || text.charAt(from) == '\t')) from += 1
-      var end = from
-      while (end < text.length && !isLineEnd(text.charAt(end))) end += 1
-      val value = text.substring(from, end)
-      if (!continuation) return Hit(value, line)
+                            continuation: Boolean) extends RegexKind {
+    private[fn] def regex: String =
+      (if (caseInsensitive) "(?im)^" else "(?m)^") + Regex.quote(label) + ":[ \\t]*(.*)$"
+    protected def value(m: Matcher, text: String): String = {
+      if (!continuation) return m.group(1)
       // Skip the newline that closed the matched line, then fold each
       // following '\n'-separated line that starts with a tab or 4 spaces.
-      var next = end
+      var next = m.end(1)
       if (text.startsWith("\r", next)) next += 1
       if (text.startsWith("\n", next)) next += 1
-      val sb = new StringBuilder(value)
+      val sb = new StringBuilder(m.group(1))
       while (next >= 0 && (text.startsWith("\t", next) || text.startsWith("    ", next))) {
         val nl = text.indexOf('\n', next)
         sb.append(" ").append(text.substring(next, if (nl < 0) text.length else nl).trim)
         next = if (nl < 0) -1 else nl + 1
       }
-      Hit(sb.toString, line)
+      sb.toString
     }
     def describe: String = s"keycolon('$label', ci=$caseInsensitive, cont=$continuation)"
   }
 
-  /** A kind that reads a document with one regex: the value comes from the
-    * regex's leftmost match, found by [[FirstMatch]], which tries the regex
-    * only where its own literals allow a match to start. The match starts
-    * the hit.
-    */
-  sealed trait RegexKind extends Extractor {
-    /** The pattern, compiled once per instance. */
-    private[fn] def regex: String
-    /** The value the leftmost match gives. */
-    protected def value(m: Matcher): String
-
-    @transient private lazy val compiled = new FirstMatch(regex)
-    private[fn] final def run(scan: ExtractorSet.Scan): Hit =
-      compiled.in(scan.text).fold(Miss)(m => Hit(value(m), m.start))
-  }
-
   /** Regex with one capture group (or the whole match when there is none) —
-    * what prompt P_A (regex-flavored) tends to produce. P_A's key-colon
-    * regex is tried only at the line starts where its label occurs, its row
-    * regex only where `>` and `\s*` precede the label, and its meta, title
-    * and href regexes only at their opening literal.
+    * what prompt P_A (regex-flavored) tends to produce. P_A's key-colon and
+    * row regexes read the scan's indexes, as `KeyColon` and `TagRow` do.
     */
   final case class RegexCapture(pattern: String) extends RegexKind {
-    private[fn] def regex: String           = pattern
-    protected def value(m: Matcher): String = if (m.groupCount >= 1) m.group(1) else m.group()
-    def describe: String                    = s"regex($pattern)"
+    private[fn] def regex: String                         = pattern
+    protected def value(m: Matcher, text: String): String = if (m.groupCount >= 1) m.group(1) else m.group()
+    def describe: String                                  = s"regex($pattern)"
   }
 
   /** Substring between two literal anchors — synthesized from inline-prose
@@ -189,33 +182,19 @@ object Extractor {
   }
 
   /** HTML label/value row (`<tr><th>Label</th><td>value</td></tr>` and
-    * infobox variants). `stripMarkup=false` reproduces the common LLM bug of
-    * returning raw inner HTML.
-    *
-    * The value is the first match of `pat`; the scan's row index supplies the
-    * `>` positions where a match can start, in document order, and `pat`
-    * confirms each with `lookingAt` there, so the first confirmed site is
-    * the regex's leftmost match and its start.
+    * infobox variants): the regex
+    * `(?s)>\s*label\s*</[a-z0-9]+>\s*<td[^>]*>(.*?)</td>` (`(?is)` when
+    * case-insensitive, `valueTag` for `td`). `stripMarkup=false` reproduces
+    * the common LLM bug of returning raw inner HTML.
     */
   final case class TagRow(label: String, caseInsensitive: Boolean,
-                          stripMarkup: Boolean, valueTag: String = "td") extends Extractor {
-    @transient private lazy val pat = {
-      val flags = if (caseInsensitive) "(?is)" else "(?s)"
-      val vt    = Regex.quote(valueTag)
-      Pattern.compile(
-        flags + ">\\s*" + Regex.quote(label) + "\\s*</[a-z0-9]+>\\s*<" + vt + "[^>]*>(.*?)</" + vt + ">"
-      )
+                          stripMarkup: Boolean, valueTag: String = "td") extends RegexKind {
+    private[fn] def regex: String = {
+      val vt = Regex.quote(valueTag)
+      (if (caseInsensitive) "(?is)" else "(?s)") + ">\\s*" + Regex.quote(label) +
+        "\\s*</[a-z0-9]+>\\s*<" + vt + "[^>]*>(.*?)</" + vt + ">"
     }
-    private[fn] def run(scan: ExtractorSet.Scan): Hit = {
-      val m     = pat.matcher(scan.text).useTransparentBounds(true).useAnchoringBounds(false)
-      val sites = scan.rowSites(label)
-      while (sites.hasNext) {
-        val site = sites.next()
-        m.region(site, scan.text.length)
-        if (m.lookingAt()) return Hit(if (stripMarkup) stripTags(m.group(1)) else m.group(1), site)
-      }
-      Miss
-    }
+    protected def value(m: Matcher, text: String): String = if (stripMarkup) stripTags(m.group(1)) else m.group(1)
     def describe: String = s"tagrow('$label', ci=$caseInsensitive, strip=$stripMarkup, tag=$valueTag)"
   }
 
@@ -225,8 +204,8 @@ object Extractor {
   final case class MetaContent(prop: String) extends RegexKind {
     private[fn] def regex: String =
       "(?i)<meta[^>]*(?:itemprop|name|property)=\"" + Regex.quote(prop) + "\"[^>]*content=\"([^\"]*)\""
-    protected def value(m: Matcher): String = m.group(1)
-    def describe: String                    = s"meta('$prop')"
+    protected def value(m: Matcher, text: String): String = m.group(1)
+    def describe: String                                  = s"meta('$prop')"
   }
 
   /** `<title>value SEP site</title>` extractor, tried at each `<title>`
@@ -234,7 +213,7 @@ object Extractor {
     */
   final case class TitleBefore(sep: String) extends RegexKind {
     private[fn] def regex: String = "(?is)<title>(.*?)</title>"
-    protected def value(m: Matcher): String = {
+    protected def value(m: Matcher, text: String): String = {
       val t = m.group(1)
       val i = t.indexOf(sep)
       if (i < 0) t else t.substring(0, i)
@@ -247,9 +226,10 @@ object Extractor {
     * Tried at each `<a href="prefix` (ASCII case folded).
     */
   final case class HrefAnchor(prefix: String) extends RegexKind {
-    private[fn] def regex: String           = "(?i)<a href=\"" + Regex.quote(prefix) + "[^\"]*\"[^>]*>(.*?)</a>"
-    protected def value(m: Matcher): String = stripTags(m.group(1))
-    def describe: String                    = s"href('$prefix')"
+    private[fn] def regex: String =
+      "(?i)<a href=\"" + Regex.quote(prefix) + "[^\"]*\"[^>]*>(.*?)</a>"
+    protected def value(m: Matcher, text: String): String = stripTags(m.group(1))
+    def describe: String                                  = s"href('$prefix')"
   }
 
   /** Wraps a working extractor with the paper's "sloppy" failure mode:
@@ -276,15 +256,15 @@ object Extractor {
 
 /** Functions evaluated together over each document: every distinct function
   * (members and the functions `Sloppy` members wrap) runs once per document,
-  * and all `KeyColon` and `TagRow` functions are answered from one shared
-  * scan of the text, built on first use:
-  *  - a line index: one pass over the line starts finds, for each `KeyColon`
-  *    label, the first line that opens with `label:` (exactly, or under
-  *    ASCII case folding);
+  * and every regex kind whose [[FirstMatch]] plan is a key-colon or row key
+  * reads its match starts from one shared scan of the text, built on first
+  * use:
+  *  - a line index: one pass over the line starts finds, for each line key,
+  *    the first line that opens with `key:` (exactly, or under ASCII case
+  *    folding), and stops once every key has its line;
   *  - a row index: one pass over the `>` positions keys each by the text
-  *    between it and the next `<`, less surrounding regex whitespace, which
-  *    is where a `TagRow` label without `<` or surrounding whitespace must
-  *    sit; any other label is tried at every `>`.
+  *    between it and the next `<`, less surrounding regex whitespace, and
+  *    keeps the sites of each row key in document order.
   *
   * Each output carries the start of its match ([[ExtractorSet.Hit]]), which
   * is where `DocParser` locates a field.
@@ -293,31 +273,35 @@ object Extractor {
   */
 final class ExtractorSet(fns: Seq[Extractor]) extends Serializable {
   import Extractor._
+  import FirstMatch.{LineKey, RowKey}
 
   private val members = fns.toIndexedSeq
-  private val reached: Seq[Extractor] = {
+  // The plans that read the scan's indexes (the others, which hold literal
+  // matchers, stay with their functions).
+  private val plans: Seq[FirstMatch.Plan] = {
     def withInner(f: Extractor): Seq[Extractor] = f match {
       case s: Sloppy => s +: withInner(s.inner)
       case _         => Seq(f)
     }
-    members.flatMap(withInner).distinct
+    members.flatMap(withInner).distinct.collect { case r: RegexKind => r.firstMatch.plan }
+      .filter(p => p.isInstanceOf[LineKey] || p.isInstanceOf[RowKey])
   }
-  private val keyLabels: Set[String] =
-    reached.collect { case k: KeyColon if !k.caseInsensitive => k.label }.toSet
-  private val keyLabelsCi: Set[String] =
-    reached.collect { case k: KeyColon if k.caseInsensitive => asciiLower(k.label) }.toSet
-  private val maxKeyLength: Int = (keyLabels ++ keyLabelsCi).map(_.length).maxOption.getOrElse(-1)
-  private val rowKeys: Set[String] =
-    reached.collect { case t: TagRow if ExtractorSet.isRowKey(t.label) => asciiLower(t.label) }.toSet
-  private val maxRowKeyLength: Int = rowKeys.map(_.length).maxOption.getOrElse(-1)
+  private val lineKeys: Set[String]       = plans.collect { case LineKey(k, false) => k }.toSet
+  private val foldedLineKeys: Set[String] = plans.collect { case LineKey(k, true) => k }.toSet
+  private val maxLineKeyLength: Int       = (lineKeys ++ foldedLineKeys).map(_.length).maxOption.getOrElse(-1)
+  private val rowKeys: Set[String]        = plans.collect { case RowKey(k) => k }.toSet
+  private val maxRowKeyLength: Int        = rowKeys.map(_.length).maxOption.getOrElse(-1)
+
+  /** One document's scan; a null `text` reads as "". */
+  private[fn] def scan(text: String): ExtractorSet.Scan = new ExtractorSet.Scan(if (text == null) "" else text, this)
 
   /** Each member's output on `text`, in member order, with the start of the
     * match it came from: the value trimmed, [[ExtractorSet.Miss]] on a miss,
     * on any failure and for a null `text`.
     */
   def hits(text: String): IndexedSeq[ExtractorSet.Hit] = {
-    val scan = new ExtractorSet.Scan(if (text == null) "" else text, this)
-    members.map(scan.output)
+    val s = scan(text)
+    members.map(s.output)
   }
 
   /** The values of [[hits]]: "" where a member found nothing. */
@@ -328,19 +312,13 @@ object ExtractorSet {
   import Extractor._
 
   /** A function's value on one document and where its match starts: a
-    * `KeyColon`'s line, a `TagRow`'s `>` site, a `Between`'s first anchor, a
-    * regex kind's match start, a `Sloppy`'s inner start.
+    * regex kind's match start (a `KeyColon`'s line, a `TagRow`'s `>`), a
+    * `Between`'s first anchor, a `Sloppy`'s inner start.
     */
   final case class Hit(value: String, start: Int)
 
   /** No value: a miss, a broken function or a failure. */
   val Miss: Hit = Hit("", -1)
-
-  /** A `TagRow` label the row index can answer: a match of its pattern then
-    * starts at a `>` whose row key is the label, case-folded.
-    */
-  private def isRowKey(label: String): Boolean =
-    label.indexOf('<') < 0 && (label.isEmpty || !isSpace(label.head) && !isSpace(label.last))
 
   /** One document's scan: the memoised output of every function the set
     * reaches, and the line and row indexes, each built on first use.
@@ -361,31 +339,32 @@ object ExtractorSet {
       out
     }
 
-    /** The start of the first line opening with `label:`, or -1. */
-    private[fn] def keyLine(label: String, caseInsensitive: Boolean): Int =
-      if (caseInsensitive) keyLines._2.getOrElse(asciiLower(label), -1)
-      else keyLines._1.getOrElse(label, -1)
+    /** The start of the first line opening with `key:`, or -1; `key` is
+      * lower-cased when `fold`. Only the set's line keys are indexed.
+      */
+    private[fn] def keyLine(key: String, fold: Boolean): Int =
+      (if (fold) keyLines._2 else keyLines._1).getOrElse(key, -1)
 
     /** Line starts are where `(?m)^` matches: the text's start and after
       * every line terminator, but not between `\r` and `\n` nor at the end.
-      * At each, every `:` within the longest label's reach closes a possible
-      * label; a label may itself hold `:` or a line terminator.
+      * At each, every `:` within the longest key's reach closes a possible
+      * key; a key may itself hold `:` or a line terminator.
       */
     private lazy val keyLines: (mutable.HashMap[String, Int], mutable.HashMap[String, Int]) = {
       val exact, folded = mutable.HashMap.empty[String, Int]
-      val wanted        = set.keyLabels.size + set.keyLabelsCi.size
+      val wanted        = set.lineKeys.size + set.foldedLineKeys.size
       val n             = text.length
       var line          = 0
       while (line < n && exact.size + folded.size < wanted) {
         var colon = line
-        val last  = math.min(n - 1, line + set.maxKeyLength)
+        val last  = math.min(n - 1, line + set.maxLineKeyLength)
         while (colon <= last) {
           if (text.charAt(colon) == ':') {
             val key = text.substring(line, colon)
-            if (set.keyLabels(key) && !exact.contains(key)) exact(key) = line
-            if (set.keyLabelsCi.nonEmpty) {
+            if (set.lineKeys(key) && !exact.contains(key)) exact(key) = line
+            if (set.foldedLineKeys.nonEmpty) {
               val low = asciiLower(key)
-              if (set.keyLabelsCi(low) && !folded.contains(low)) folded(low) = line
+              if (set.foldedLineKeys(low) && !folded.contains(low)) folded(low) = line
             }
           }
           colon += 1
@@ -399,12 +378,10 @@ object ExtractorSet {
       (exact, folded)
     }
 
-    /** The `>` positions where a match of `TagRow(label, …)` can start, in
-      * document order.
+    /** The `>` positions whose row key, lower-cased, is `key`, in document
+      * order. Only the set's row keys are indexed.
       */
-    private[fn] def rowSites(label: String): Iterator[Int] =
-      if (isRowKey(label)) rows.getOrElse(asciiLower(label), Nil).iterator
-      else Iterator.iterate(text.indexOf('>'))(g => text.indexOf('>', g + 1)).takeWhile(_ >= 0)
+    private[fn] def rowSites(key: String): Iterator[Int] = rows.getOrElse(key, Nil).iterator
 
     private lazy val rows: mutable.HashMap[String, mutable.ArrayBuffer[Int]] = {
       val index = mutable.HashMap.empty[String, mutable.ArrayBuffer[Int]]
@@ -419,7 +396,7 @@ object ExtractorSet {
           keyEnd = lt
           while (keyEnd > from && isSpace(text.charAt(keyEnd - 1))) keyEnd -= 1
         }
-        if (lt < 0) gt = -1 // no '<' left, so no "</" for a label to precede
+        if (lt < 0) gt = -1 // no '<' left, so no "</" for a key to precede
         else {
           val end = math.max(from, keyEnd)
           if (end - from <= set.maxRowKeyLength) {

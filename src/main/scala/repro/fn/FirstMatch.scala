@@ -2,7 +2,7 @@ package repro.fn
 
 import java.util.regex.{Matcher, Pattern}
 import scala.collection.mutable
-import Extractor.{asciiLower, isLineEnd, isSpace}
+import Extractor.{asciiLower, isSpace}
 
 /** A regex compiled once, with the places its matches can start worked out
   * from its own syntax when it is compiled (a required-literal prefilter, as
@@ -13,60 +13,56 @@ import Extractor.{asciiLower, isLineEnd, isSpace}
   * order, so the first confirmed start is the leftmost match `find` reports,
   * with the same groups. A literal is a run of `\Q…\E` blocks and escaped or
   * plain literal characters; the candidate starts are:
-  *  - the pattern opens with a literal L: every occurrence of L;
-  *  - it opens with `^` and L: the occurrences of L where `^` matches (under
-  *    `(?m)` the text's start and after a line terminator, but not between
-  *    `\r` and `\n`; otherwise the text's start);
-  *  - it opens with L1, `\s*` and L2, where L1 ends and L2 starts with a
-  *    character outside `\s`: each occurrence of L2, walked back over `\s` to
-  *    an L1;
+  *  - the key-colon form `(?m)^L:[ \t]*(.*)$`, which matches at every line
+  *    start that opens with `L:`: the first such line, from the scan's line
+  *    index ([[LineKey]]);
+  *  - the row form `>\s*L\s*<…`, for an L without `<` and with no `\s` at
+  *    either end: the `>` sites the scan's row index keys by L ([[RowKey]]);
+  *  - any other pattern that opens with a literal L: every occurrence of L;
   *  - otherwise, when the pattern holds a literal every match contains, a text
   *    without it misses at once and any other text runs a plain `find`.
   *
   * A pattern with a flag other than `i`, `s` and `m`, a top-level `|`, or a
   * construct the small parser below does not read always runs a plain
   * `find`. Under `(?i)` a literal matches with ASCII case folding, as
-  * `java.util.regex` does without UNICODE_CASE.
+  * `java.util.regex` does without UNICODE_CASE. An invalid pattern gets a
+  * plan but throws from [[in]].
   */
 final class FirstMatch(regex: String) {
   import FirstMatch._
 
-  private val pattern = Pattern.compile(regex)
-  private[fn] val plan = FirstMatch.plan(regex)
+  private lazy val pattern = Pattern.compile(regex)
+  private[fn] val plan     = FirstMatch.plan(regex)
 
-  /** The leftmost match in `text`, or None. */
-  def in(text: String): Option[Matcher] = {
-    val m = pattern.matcher(text)
+  /** The leftmost match in the scan's text, or None; the scan's set must
+    * hold a function with this pattern, so that its indexes hold its key.
+    */
+  private[fn] def in(scan: ExtractorSet.Scan): Option[Matcher] = {
+    val text = scan.text
     plan match {
-      case Find                        => if (m.find()) Some(m) else None
-      case Contains(l)                 => if (l.indexIn(text, 0) >= 0 && m.find()) Some(m) else None
-      case At(l)                       => confirm(m, text, l.indexIn(text, _), identity)
-      case AtLineStart(l, multiline) =>
-        if (!multiline) confirm(m, text, from => if (from == 0 && l.at(text, 0)) 0 else -1, identity)
-        else confirm(m, text, l.indexIn(text, _), i => if (isLineStart(text, i)) i else -1)
-      case Before(l1, l2) =>
-        confirm(m, text, l2.indexIn(text, _), { i =>
-          var q = i
-          while (q > 0 && isSpace(text.charAt(q - 1))) q -= 1
-          val start = q - l1.length
-          if (start >= 0 && l1.at(text, start)) start else -1
-        })
+      case Find             => find(text)
+      case Contains(l)      => if (l.indexIn(text, 0) >= 0) find(text) else None
+      case At(l) =>
+        confirm(text, Iterator.iterate(l.indexIn(text, 0))(i => l.indexIn(text, i + 1)).takeWhile(_ >= 0))
+      case LineKey(k, fold) => confirm(text, Iterator(scan.keyLine(k, fold)).filter(_ >= 0))
+      case RowKey(k)        => confirm(text, scan.rowSites(k))
     }
   }
 
-  /** Tries `m` at the start each occurrence of the searched literal maps to
-    * (-1: none there), walking the occurrences in document order.
+  private def find(text: String): Option[Matcher] = {
+    val m = pattern.matcher(text)
+    if (m.find()) Some(m) else None
+  }
+
+  /** Tries the pattern at each start, in order; a text with no start builds
+    * no matcher.
     */
-  private def confirm(m: Matcher, text: String, next: Int => Int, startAt: Int => Int): Option[Matcher] = {
-    m.useTransparentBounds(true).useAnchoringBounds(false)
-    var i = next(0)
-    while (i >= 0) {
-      val start = startAt(i)
-      if (start >= 0) {
-        m.region(start, text.length)
-        if (m.lookingAt()) return Some(m)
-      }
-      i = next(i + 1)
+  private def confirm(text: String, starts: Iterator[Int]): Option[Matcher] = {
+    if (!starts.hasNext) return None
+    val m = pattern.matcher(text).useTransparentBounds(true).useAnchoringBounds(false)
+    while (starts.hasNext) {
+      m.region(starts.next(), text.length)
+      if (m.lookingAt()) return Some(m)
     }
     None
   }
@@ -76,17 +72,15 @@ object FirstMatch {
 
   /** Where a pattern's matches can start. */
   private[fn] sealed trait Plan
-  private[fn] case object Find                                        extends Plan
-  private[fn] final case class Contains(lit: Lit)                     extends Plan
-  private[fn] final case class At(lit: Lit)                           extends Plan
-  private[fn] final case class AtLineStart(lit: Lit, multiline: Boolean) extends Plan
-  private[fn] final case class Before(l1: Lit, l2: Lit)               extends Plan
-
-  /** Where `(?m)^` matches before a non-empty rest: the text's start and
-    * after a line terminator, but not between `\r` and `\n`.
+  private[fn] case object Find                    extends Plan
+  private[fn] final case class Contains(lit: Lit) extends Plan
+  private[fn] final case class At(lit: Lit)       extends Plan
+  /** The first line opening with `key:`; under `fold`, `key` is lower-cased
+    * and the line compared with ASCII case folding.
     */
-  private def isLineStart(text: String, i: Int): Boolean =
-    i == 0 || isLineEnd(text.charAt(i - 1)) && !(text.charAt(i - 1) == '\r' && text.charAt(i) == '\n')
+  private[fn] final case class LineKey(key: String, fold: Boolean) extends Plan
+  /** The `>` sites whose row key, lower-cased, is `key`. */
+  private[fn] final case class RowKey(key: String) extends Plan
 
   /** A non-empty literal; `fold` matches it under ASCII case folding. */
   private[fn] final class Lit(s: String, fold: Boolean) {
@@ -95,7 +89,7 @@ object FirstMatch {
     override def toString: String = if (fold) s"(?i)$s" else s
 
     /** Whether the literal occurs at `i`. */
-    def at(text: String, i: Int): Boolean =
+    private def at(text: String, i: Int): Boolean =
       if (!fold) text.startsWith(s, i)
       else i >= 0 && i + low.length <= text.length && {
         var k = 0
@@ -139,7 +133,9 @@ object FirstMatch {
 
   private final class Unsupported extends Exception(null, null, false, false)
 
-  /** The plan for `regex`, a pattern `Pattern.compile` accepts. */
+  /** The plan for `regex`; one for a pattern `Pattern.compile` rejects is
+    * never run.
+    */
   private def plan(regex: String): Plan =
     try {
       val (flags, body) =
@@ -153,19 +149,28 @@ object FirstMatch {
       val p     = new Parser(body)
       val items = p.sequence()
       if (p.alternation || p.pos < body.length) throw new Unsupported
-      choose(items, flags.contains('i'), flags.contains('m'))
+      choose(body, items, flags.contains('i'), flags.contains('m'))
     } catch { case _: Unsupported => Find }
 
-  private def choose(items: Vector[Item], fold: Boolean, multiline: Boolean): Plan = {
+  private val KeyColonTail = ":[ \\t]*(.*)$"
+
+  private def choose(body: String, items: Vector[Item], fold: Boolean, multiline: Boolean): Plan = {
     // The literal that opens items(from..), "" when there is none.
     def run(from: Int): String =
       items.drop(from).takeWhile(_.isInstanceOf[Chr]).collect { case Chr(c) => c }.mkString
     def lit(s: String): Lit = new Lit(s, fold)
     val first = run(0)
-    val next  = run(first.length + 1)
-    if (items.headOption.contains(Caret) && run(1).nonEmpty) AtLineStart(lit(run(1)), multiline)
-    else if (first.nonEmpty && items.lift(first.length).contains(Spaces) && next.nonEmpty &&
-             !isSpace(first.last) && !isSpace(next.head)) Before(lit(first), lit(next))
+    val line  = run(1)  // after `^`: the key and its `:`
+    val label = run(2)  // after `>\s*`: the row key
+    // The key-colon form: `^`, a literal ending in the tail's `:`, and the
+    // tail's three other items, so the tail is not part of the literal.
+    if (multiline && items.headOption.contains(Caret) && body.endsWith(KeyColonTail) &&
+        line.endsWith(":") && items.length == line.length + 4 && items.drop(line.length + 1).forall(_ == Other))
+      LineKey(if (fold) asciiLower(line.init) else line.init, fold)
+    else if (first == ">" && items.lift(1).contains(Spaces) && items.lift(label.length + 2).contains(Spaces) &&
+             items.lift(label.length + 3).contains(Chr('<')) && label.indexOf('<') < 0 &&
+             (label.isEmpty || !isSpace(label.head) && !isSpace(label.last)))
+      RowKey(asciiLower(label))
     else if (first.nonEmpty) At(lit(first))
     else items.indices.map(run).filter(_.nonEmpty).maxByOption(_.length).fold[Plan](Find)(l => Contains(lit(l)))
   }

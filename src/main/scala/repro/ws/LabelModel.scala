@@ -16,8 +16,7 @@ package repro.ws
   * post-processing).
   *
   * The fit and the prediction run over a [[VoteMatrix]], where each distinct
-  * value is one `Int` id, so equal ids are equal strings; `fitAccuracies`
-  * and `predict` adapt `Option[String]` rows to it.
+  * value is one `Int` id, so equal ids are equal strings.
   */
 object LabelModel {
 
@@ -29,18 +28,12 @@ object LabelModel {
     * triplet identity becomes a_i = sqrt(p_ij * p_ik / p_jk) — a cleaner
     * fit than the ±1-correlation form used for binary classification.
     *
-    * @param votes votes(doc)(fn): Some(value) or None (abstain); a row is
-    *              read up to `nFns` votes, and a shorter one abstains after
-    *              its end
+    * Its sufficient statistics are, for each pair of functions, the
+    * documents where both vote and those where they agree (the pairwise
+    * agreement p_ij = agree / both, or -1 when support < 3, too little to
+    * inform).
+    *
     * @return accuracy in (0,1) per function
-    */
-  def fitAccuracies(votes: IndexedSeq[IndexedSeq[Option[String]]], nFns: Int): Array[Double] =
-    fit(VoteMatrix.of(votes, nFns))
-
-  /** [[fitAccuracies]] on interned votes. Its sufficient statistics are, for
-    * each pair of functions, the documents where both vote and those where
-    * they agree (the pairwise agreement p_ij = agree / both, or -1 when
-    * support < 3, too little to inform).
     */
   private[ws] def fit(m: VoteMatrix): Array[Double] = {
     val nFns = m.nFns
@@ -123,18 +116,11 @@ object LabelModel {
   def weights(accuracies: Array[Double]): Array[Double] =
     accuracies.map(acc => math.log(acc / (1.0 - acc)))
 
-  /** Final prediction for one document: weighted argmax over the document's
-    * vote buckets. Ties break toward the lexicographically smaller value
-    * for determinism. Returns "" when every function abstained.
-    */
-  def predict(row: IndexedSeq[Option[String]], w: Array[Double]): String = {
-    val m = VoteMatrix.of(IndexedSeq(row), row.length)
-    m.value(predict(m, 0, w))
-  }
-
-  /** [[predict]] on document `d` of `m`: the winning id, or Abstain. Each
-    * id's weight is summed in function order; a function past `w`'s end
-    * weighs 0.
+  /** Final prediction for document `d` of `m`: weighted argmax over the
+    * document's vote ids, each id's weight summed in function order; a
+    * function past `w`'s end weighs 0. Ties break toward the
+    * lexicographically smaller value for determinism. Returns Abstain when
+    * every function abstained.
     */
   private[ws] def predict(m: VoteMatrix, d: Int, w: Array[Double]): Int = {
     val ids    = new Array[Int](m.nFns)

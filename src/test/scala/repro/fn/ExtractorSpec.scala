@@ -8,6 +8,7 @@ import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.EvaporateCode
 import repro.docs.{Corpora, DocGen}
+import repro.docs.Style.{KeyColonStyle, TagRowStyle}
 import repro.fn.Extractor._
 import repro.llm.{Profile, SimLM}
 import repro.ws.Aggregation
@@ -251,7 +252,8 @@ class ExtractorSpec extends AnyFunSuite {
   // ------------------------------------------ the shared scan against regexes
 
   /** `KeyColon` and `TagRow` as the regexes that define them, kept as the
-    * reference the shared scan must equal; every other kind runs as itself.
+    * reference the shared scan must equal, and `RegexCapture` with a plain
+    * `findFirstMatchIn`; every other kind runs as itself.
     */
   private object Reference {
     private val compiled = mutable.HashMap.empty[String, Regex]
@@ -294,6 +296,8 @@ class ExtractorSpec extends AnyFunSuite {
         try f match {
           case k: KeyColon => keyColon(k, text)
           case t: TagRow   => tagRow(t, text)
+          case RegexCapture(p) =>
+            regex(p).findFirstMatchIn(text).fold("")(m => if (m.groupCount >= 1) m.group(1) else m.matched)
           case Sloppy(inner, mode, extra) =>
             val base = extract(inner, text)
             if (base.isEmpty) ""
@@ -344,12 +348,17 @@ class ExtractorSpec extends AnyFunSuite {
     "510(k) Number", "")
   private val lineEnds = Seq("\n", "\r\n", "\r", "\u0085", "\u2028", "\u2029", "\n\n", "")
 
-  /** Every `KeyColon` and `TagRow` over `labels`, and some `Sloppy` wrappers. */
+  /** Every `KeyColon` and `TagRow` over `labels`, P_A's key-colon and row
+    * regexes over the same labels, which share their index keys, and some
+    * `Sloppy` wrappers.
+    */
   private val adversarialFns: Seq[Extractor] = {
     val base = labels.flatMap { l =>
       for (ci <- Seq(false, true); flag <- Seq(false, true); vt <- Seq("td", "dd"))
         yield Seq(KeyColon(l, ci, flag), TagRow(l, ci, flag, vt))
-    }.flatten.distinct
+    }.flatten.distinct ++ labels.flatMap { l =>
+      Seq(KeyColonStyle(l).narrowPA(""), TagRowStyle(l).narrowPA(""), TagRowStyle(l, valueTag = "dd").narrowPA(""))
+    }.distinct
     base ++ base.zipWithIndex.collect { case (f, i) if i % 5 == 0 => Sloppy(f, i % 3, "g") }
   }
 

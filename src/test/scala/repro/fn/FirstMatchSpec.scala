@@ -6,7 +6,7 @@ import scala.util.matching.Regex
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
-import repro.docs.{Corpora, DocGen}
+import repro.docs.{Corpora, DocGen, Style}
 import repro.fn.Extractor._
 import repro.fn.FirstMatch._
 
@@ -16,7 +16,7 @@ import repro.fn.FirstMatch._
   */
 class FirstMatchSpec extends AnyFunSuite {
 
-  private val compiled  = mutable.HashMap.empty[String, FirstMatch]
+  private val compiled  = mutable.HashMap.empty[String, (RegexCapture, ExtractorSet)]
   private val reference = mutable.HashMap.empty[String, Regex]
 
   private def shape(m: MatchResult): (Int, Int, Seq[String]) = (m.start, m.end, (0 to m.groupCount).map(m.group))
@@ -28,7 +28,8 @@ class FirstMatchSpec extends AnyFunSuite {
   private def check(pattern: String, text: String): Boolean = {
     val expected = reference.getOrElseUpdate(pattern, new Regex(pattern)).findFirstMatchIn(text)
       .map(m => (m.start, m.end, (0 to m.groupCount).map(m.group)))
-    val actual = compiled.getOrElseUpdate(pattern, new FirstMatch(pattern)).in(text).map(shape)
+    val (f, set) = compiled.getOrElseUpdate(pattern, { val f = RegexCapture(pattern); (f, new ExtractorSet(Seq(f))) })
+    val actual   = f.firstMatch.in(set.scan(text)).map(shape)
     assert(actual == expected, s"pattern ${shown(pattern)} on ${shown(text)}")
     expected.nonEmpty
   }
@@ -56,15 +57,77 @@ class FirstMatchSpec extends AnyFunSuite {
   }
 
   test("the synthesizer's regex forms are prefiltered, not run with a plain find") {
-    assert(plan("(?m)^\\QDevice Name\\E:[ \\t]*(.*)$").isInstanceOf[AtLineStart])
-    assert(plan("(?m)^Device\\ Name:[ \\t]*(.*)$").isInstanceOf[AtLineStart])
-    assert(plan("(?s)>\\s*\\QDirector\\E\\s*</th>\\s*<\\Qtd\\E[^>]*>(.*?)</\\Qtd\\E>").isInstanceOf[Before])
+    assert(plan("(?m)^\\QDevice Name\\E:[ \\t]*(.*)$") == LineKey("Device Name", fold = false))
+    assert(plan("(?m)^Device\\ Name:[ \\t]*(.*)$") == LineKey("Device Name", fold = false))
+    assert(plan("(?s)>\\s*\\QDirector\\E\\s*</th>\\s*<\\Qtd\\E[^>]*>(.*?)</\\Qtd\\E>") == RowKey("director"))
     assert(plan("<meta[^>]*itemprop=\"\\Qgenre\\E\"[^>]*content=\"([^\"]*)\"").isInstanceOf[At])
     assert(plan("(?is)<title>(.*?)\\Q - IMDb\\E").isInstanceOf[At])
     assert(plan("(?i)<a href=\"\\Q/wiki/season/\\E[^\"]*\"[^>]*>([^<]*)</a>").isInstanceOf[At])
     assert(plan("(\\b\\d\\d[A-Z]\\-\\d\\b)").isInstanceOf[Contains])
     for (f <- Seq(MetaContent("name"), TitleBefore(" - "), HrefAnchor("/wiki/college/")))
       assert(plan(f.regex).isInstanceOf[At], f.describe)
+  }
+
+  test("every style's KeyColon, TagRow and P_A key-colon and row regexes read the scan's line and row indexes") {
+    def planOf(f: Extractor): Plan = f match {
+      case r: RegexKind => r.firstMatch.plan
+      case other        => fail(s"${other.describe} is not a regex kind")
+    }
+    var keyColons, rows = 0
+    for (setting <- Corpora.all; a <- setting.attrs; (style, _) <- a.variants) style match {
+      case s: Style.KeyColonStyle =>
+        for (f <- Seq(s.reader, s.narrowPA("v"), s.narrowPB))
+          assert(planOf(f) == LineKey(s.label, fold = false), f.describe)
+        assert(planOf(s.general) == LineKey(asciiLower(s.label), fold = true), s.general.describe)
+        keyColons += 1
+      case s: Style.TagRowStyle =>
+        for (f <- Seq(s.reader, s.narrowPA("v"), s.narrowPB, s.general))
+          assert(planOf(f) == RowKey(asciiLower(s.label)), f.describe)
+        rows += 1
+      case _ =>
+    }
+    assert(keyColons > 10 && rows > 10, s"keyColons=$keyColons rows=$rows")
+    // Labels a row key cannot hold are tried at every `>`.
+    for (l <- Seq("a<b", " Pad", "Pad\t", "<b>"))
+      assert(planOf(TagRow(l, caseInsensitive = true, stripMarkup = true)).isInstanceOf[At], l)
+  }
+
+  test("a first key line or row site that fails the rest of the pattern: a later one matches") {
+    // Only the always-matching key-colon form reads the line index, which
+    // keeps just each key's first line; these forms must search on.
+    val lineCases = Seq(
+      "(?m)^\\QDate\\E:(\\d+)"                -> "Date: x\nDate:5",
+      "(?m)^\\QDate\\E:[ \\t]*(\\d+)$"        -> "Date: x\r\nDate: 5",
+      "(?m)^\\QDate\\E:[ \\t]*(.+)$"          -> "Date:\nDate: v",
+      "(?m)^\\QDate\\E:[ \\t]*(.*)x$"         -> "Date: a\u0085Date: bx",
+      "(?im)^\\Qkey\\E:[ \\t]*(\\d)$"         -> "KEY: x\n\u212aey: 1\nkEy: 2",
+      "(?m)^\\QDate\\E:[ \\t]*(.*)$\\n(.)"     -> "Date: a\nDate: b\nc")
+    for ((p, t) <- lineCases) {
+      assert(!plan(p).isInstanceOf[LineKey], p)
+      assert(check(p, t), s"$p must match ${shown(t)}")
+    }
+    // The row form confirms every site of its key, in document order.
+    val rowCases = Seq(
+      "(?s)>\\s*\\QL\\E\\s*</th>\\s*<td>(\\d+)</td>" -> "<th>L</th><td>x</td><th>L</th><td>5</td>",
+      "(?is)>\\s*\\QL\\E\\s*</[a-z0-9]+>\\s*<\\Qtd\\E[^>]*>(.*?)</\\Qtd\\E>" ->
+        "<th>L</th><dd>no</dd><TH> l </TH><td>yes</td>",
+      "(?s)>\\s*\\QL\\E\\s*</th>\\s*<\\Qtd\\E[^>]*>(.*?)</\\Qtd\\E>" ->
+        "<b>L</b><td>no</td>\n<th>\n L\t</th> <td>yes</td>")
+    for ((p, t) <- rowCases) {
+      assert(plan(p).isInstanceOf[RowKey], p)
+      assert(check(p, t), s"$p must match ${shown(t)}")
+    }
+    // The key-colon form itself after each line terminator, and where only a
+    // later line opens with the key.
+    val keyColon = Seq("(?m)^\\QDate\\E:[ \\t]*(.*)$", "(?im)^\\Qkey\\E:[ \\t]*(.*)$")
+    val texts = Seq("x\r\nDate: crlf", "x\rDate: cr", "x\u0085Date: nel", "x\u2028Date: ls", "x\u2029Date: ps",
+      "xDate: no\nDate: yes", "Date", "Da\nte: no", "\u212aey: kelvin\nKEY: ascii", "key:\r\n", "\r\nkey:x")
+    var matched = 0
+    for (p <- keyColon; t <- texts) {
+      assert(plan(p).isInstanceOf[LineKey], p)
+      if (check(p, t)) matched += 1
+    }
+    assert(matched >= 8, s"matched=$matched")
   }
 
   test("patterns outside the parser's subset fall back to a plain find and stay exact") {

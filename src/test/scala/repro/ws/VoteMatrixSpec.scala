@@ -32,13 +32,14 @@ class VoteMatrixSpec extends AnyFunSuite {
     val nFns = raw.headOption.fold(0)(_.length)
     for (abstain <- Seq("", "a")) {
       val votes = optionRows(raw, abstain)
-      val fit   = LabelModel.fitAccuracies(votes, nFns)
+      val fit   = LabelModel.fit(VoteMatrix.of(votes, nFns))
       assert(fit.sameElements(AggregationReference.fitAccuracies(votes, nFns)), s"$clue fit ${fit.toSeq}")
       for (row <- votes) {
         for (b <- Seq(0, 1, 2, VoteBuckets, 12))
           assert(bucketRow(row, b) == AggregationReference.bucketRow(row, b), s"$clue bucket b=$b $row")
+        val m = VoteMatrix.of(IndexedSeq(row), row.length)
         for (w <- Seq(Array.fill(nFns)(1.0), LabelModel.weights(fit), Array(0.3, 0.3)))
-          assert(LabelModel.predict(row, w) == AggregationReference.predict(row, w), s"$clue predict $row")
+          assert(m.value(LabelModel.predict(m, 0, w)) == AggregationReference.predict(row, w), s"$clue predict $row")
       }
     }
     for (r <- raw; e <- es; mode <- modes; v <- r)
@@ -72,7 +73,7 @@ class VoteMatrixSpec extends AnyFunSuite {
     checkAll(IndexedSeq("a", "", "b", "a", "", "c").map(IndexedSeq(_)), "one function")
     checkAll(IndexedSeq.empty, "empty lake")
     assert(aggregate(Nil, 1.0, WsFull).isEmpty)
-    assert(LabelModel.fitAccuracies(IndexedSeq(IndexedSeq(None, None)), 2).sameElements(Array(0.51, 0.51)))
+    assert(LabelModel.fit(VoteMatrix.of(IndexedSeq(IndexedSeq(None, None)), 2)).sameElements(Array(0.51, 0.51)))
   }
 
   test("the plurality fallback: too little support for any triplet") {
@@ -81,12 +82,12 @@ class VoteMatrixSpec extends AnyFunSuite {
     // Pairs agree too rarely (p <= 0.05) for a triplet estimate.
     checkAll(IndexedSeq.tabulate(30, 4)((d, j) => s"v${d * 4 + j}"), "no agreement")
     val votes = IndexedSeq(IndexedSeq(Some("a"), Some("b"), Some("b")), IndexedSeq(Some("a"), Some("b"), None))
-    assert(LabelModel.fitAccuracies(votes, 3).sameElements(AggregationReference.fitAccuracies(votes, 3)))
+    assert(LabelModel.fit(VoteMatrix.of(votes, 3)).sameElements(AggregationReference.fitAccuracies(votes, 3)))
   }
 
   test("rows shorter than nFns abstain after their end, as in the reference") {
     val votes = IndexedSeq(IndexedSeq(Some("a")), IndexedSeq(Some("a"), Some("a"), Some("b")),
       IndexedSeq.empty, IndexedSeq(Some("b"), Some("b")))
-    assert(LabelModel.fitAccuracies(votes, 3).sameElements(AggregationReference.fitAccuracies(votes, 3)))
+    assert(LabelModel.fit(VoteMatrix.of(votes, 3)).sameElements(AggregationReference.fitAccuracies(votes, 3)))
   }
 }
