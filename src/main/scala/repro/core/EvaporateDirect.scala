@@ -13,7 +13,7 @@ import repro.llm.{LmPair, OpenExtraction, Profile, SimLM}
   *
   * The LLM calls are the view's one Spark job, which collects each
   * document's pairs and tokens; the token sum, the ranking and the top-k cut
-  * run on the driver, and the table is a local relation. Tokens grow
+  * run on the driver, and the table is a local scan. Tokens grow
   * linearly with the lake, which is the cost pathology Evaporate-Code exists
   * to fix.
   */

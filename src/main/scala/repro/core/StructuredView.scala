@@ -1,14 +1,14 @@
 package repro.core
 
-import scala.jdk.CollectionConverters._
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{StringType, StructField, StructType}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Output of an Evaporate run: the materialized structured view.
   *
   * @param table   extracted tuples (doc_id, attr, value), attr restricted to
-  *                the system's top-k schema; a local relation (`tuplesDf`)
-  *                for every system, so reading it starts no Spark job
+  *                the system's top-k schema; a local scan (`tuplesDf`) for
+  *                every system, so reading it, whole or restricted to some
+  *                doc_ids, starts no Spark job (any other projection or
+  *                filter over it does; see `tuplesDf`)
   * @param schema  the full ranked attribute list the system identified
   * @param tokenBreakdown tokens processed by the LLM for this run, by call
   *                site (schema / synthesis / eval / validate, or direct /
@@ -25,15 +25,15 @@ final case class StructuredView(
 
 object StructuredView {
 
-  /** The tuple schema of every view's `table` and of the gold tables. */
-  private val tupleSchema: StructType = StructType(Seq(
-    StructField("doc_id", StringType), StructField("attr", StringType),
-    StructField("value", StringType)))
-
-  /** A driver-side tuple list as a `tupleSchema` DataFrame over a local
-    * relation: the rows stay on the driver, so collecting them starts no
-    * Spark job.
+  /** A driver-side tuple list as a `(doc_id, attr, value)` DataFrame over a
+    * DSv2 local scan ([[TupleSource]]): the rows are converted once, stay on
+    * the driver and are not part of the logical plan, so Catalyst's rules do
+    * not walk them; collecting the table, whole or restricted on `doc_id`
+    * (`Harness.restrict`), starts no Spark job. Only those reads avoid one:
+    * unlike a `LocalRelation`, whose `Project`s and `Filter`s Catalyst folds
+    * into the local data, any other projection (a UDF `select`) or filter
+    * (`where(attr = …)`) over this table runs as a Spark job.
     */
   def tuplesDf(spark: SparkSession, tuples: Seq[(String, String, String)]): DataFrame =
-    spark.createDataFrame(tuples.map { case (d, a, v) => Row(d, a, v) }.asJava, tupleSchema)
+    TupleSource.load(spark, tuples)
 }

@@ -30,16 +30,22 @@ object Filler {
     "outcomes", "support", "stated", "conclusions", "under", "normal",
     "operating", "circumstances")
 
+  /** `nWords` words drawn from the bank (word `i` by `rng.derive("w", i)`),
+    * written in their final form in one pass: the first word capitalised, a
+    * sentence break `". "` before every 12th word (the next sentence starts
+    * in lower case), and a closing `"."`.
+    */
   def paragraph(rng: Rng, nWords: Int): String = {
-    val sb = new StringBuilder
-    var i  = 0
+    val draw = rng.indexed("w")
+    val sb   = new java.lang.StringBuilder(math.max(nWords, 0) * 12 + 1)
+    var i    = 0
     while (i < nWords) {
-      val w = rng.derive("w", i).pick(words)
-      if (i == 0) sb.append(w.capitalize) else sb.append(" ").append(w)
-      if ((i + 1) % 12 == 0 && i + 1 < nWords) sb.append(".").append(" ")
+      val w = words(draw(i).int(words.length))
+      if (i == 0) sb.append(w.capitalize)
+      else sb.append(if (i % 12 == 0) ". " else " ").append(w)
       i += 1
     }
-    sb.append(".").toString.replace(". .", ".").replaceAll("\\.\\s+([a-z])", ". $1")
+    sb.append('.').toString
   }
 }
 

@@ -1,6 +1,7 @@
 package repro.util
 
-/** Splittable, allocation-light deterministic RNG.
+/** Splittable, stateless deterministic RNG: a draw is a pure function of
+  * the seed.
   *
   * Every random decision in the reproduction (document rendering, simulated
   * LLM noise, function-synthesis outcomes) flows through an `Rng` derived
@@ -8,6 +9,10 @@ package repro.util
   * number bit-for-bit — including inside Spark UDFs running on executor
   * threads, where shared mutable `java.util.Random` state would be racy and
   * partition-order dependent.
+  *
+  * `derive(parts: Any*)` boxes its arguments into a varargs sequence; loops
+  * that draw once per index (a paragraph's words, a shuffle's swaps) use
+  * `indexed`, which folds the key once and boxes nothing per draw.
   */
 final case class Rng(seed: Long) {
 
@@ -16,7 +21,7 @@ final case class Rng(seed: Long) {
     * and ints).
     */
   def derive(parts: Any*): Rng = {
-    var acc = seed ^ 0x632be59bd9b4e019L
+    var acc = seed ^ Rng.Salt
     parts.foreach { p =>
       val h: Long = p match {
         case s: String => Rng.stringHash(s)
@@ -30,6 +35,12 @@ final case class Rng(seed: Long) {
     Rng(Rng.mix(acc))
   }
 
+  /** `derive(key, i)` for every index `i`, with `key` folded once:
+    * `indexed(key)(i) == derive(key, i)` bit for bit.
+    */
+  def indexed(key: String): Rng.Indexed =
+    new Rng.Indexed(Rng.mix(seed ^ Rng.Salt ^ Rng.stringHash(key)))
+
   /** Uniform double in [0, 1). */
   def double: Double = {
     val bits = Rng.mix(seed) >>> 11 // 53 random bits
@@ -39,7 +50,7 @@ final case class Rng(seed: Long) {
   /** Uniform int in [0, n). */
   def int(n: Int): Int = {
     require(n > 0, s"int($n)")
-    (((Rng.mix(seed) >>> 1) % n).toInt + n) % n
+    ((Rng.mix(seed) >>> 1) % n).toInt // the dividend is non-negative, so this is in [0, n)
   }
 
   /** Uniform long in [lo, hi]. */
@@ -65,10 +76,11 @@ final case class Rng(seed: Long) {
 
   /** Deterministic shuffle (Fisher–Yates over derived draws). */
   def shuffle[T](xs: Seq[T]): Seq[T] = {
-    val arr = xs.toArray[Any]
-    var i   = arr.length - 1
+    val arr  = xs.toArray[Any]
+    val draw = indexed("shuffle")
+    var i    = arr.length - 1
     while (i > 0) {
-      val j   = derive("shuffle", i).int(i + 1)
+      val j   = draw(i).int(i + 1)
       val tmp = arr(i); arr(i) = arr(j); arr(j) = tmp
       i -= 1
     }
@@ -77,6 +89,14 @@ final case class Rng(seed: Long) {
 }
 
 object Rng {
+
+  /** XORed into the seed before `derive` folds in its keys. */
+  private val Salt = 0x632be59bd9b4e019L
+
+  /** The children `derive(key, i)` of one parent and key (see `Rng.indexed`). */
+  final class Indexed private[Rng] (folded: Long) {
+    def apply(i: Long): Rng = Rng(mix(mix(folded ^ i)))
+  }
 
   /** SplitMix64 finalizer — good avalanche, cheap, stable. */
   def mix(z0: Long): Long = {

@@ -1,11 +1,11 @@
 package repro.core
 
-import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+import org.apache.spark.sql.execution.LocalTableScanExec
 import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.docs.{Corpora, DocLake}
 import repro.fn.ExtractorSet
-import repro.eval.Metrics
+import repro.eval.{Harness, Metrics}
 import repro.llm.Profile
 import repro.ws.Aggregation
 
@@ -22,10 +22,15 @@ class EvaporateCodeSpec extends SparkSpec {
     assert(v.table.count() > 0)
   }
 
-  test("a code+ view's table is a local relation, so collecting it starts no Spark job") {
+  test("a code+ view's table is a local scan, so collecting it starts no Spark job") {
     val v = EvaporateCode.run(spark, Corpora.fda, docs, Profile.davinci, seed, k)
-    assert(v.table.queryExecution.optimizedPlan.isInstanceOf[LocalRelation],
-      v.table.queryExecution.optimizedPlan.getClass.getName)
+    assert(v.table.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec],
+      v.table.queryExecution.executedPlan.getClass.getName)
+    assert(withJobCount(v.table.collect())._2 == 0)
+    val ids = Harness.sampleIds(Corpora.fda, 10)
+    val (restricted, jobs) = withJobCount(Harness.restrict(v.table, ids).collect())
+    assert(jobs == 0)
+    assert(restricted.toSet == v.table.collect().filter(r => ids.contains(r.getString(0))).toSet)
   }
 
   test("code+ is deterministic") {

@@ -1,11 +1,11 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+import org.apache.spark.sql.execution.LocalTableScanExec
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.docs.{Corpora, DocLake, Naming}
-import repro.eval.Metrics
+import repro.eval.{Harness, Metrics}
 import repro.llm.Profile
 
 class EvaporateDirectSpec extends SparkSpec {
@@ -70,9 +70,10 @@ class EvaporateDirectSpec extends SparkSpec {
         Corpora.enron.goldAttrs)))
     views.foreach { case (v, jobs) =>
       assert(jobs == 1)
-      assert(v.table.queryExecution.optimizedPlan.isInstanceOf[LocalRelation],
-        v.table.queryExecution.optimizedPlan.getClass.getName)
+      assert(v.table.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec],
+        v.table.queryExecution.executedPlan.getClass.getName)
       assert(withJobCount(v.table.collect())._2 == 0)
+      assert(withJobCount(Harness.restrict(v.table, Harness.sampleIds(Corpora.enron, 10)).collect())._2 == 0)
     }
   }
 

@@ -1,5 +1,8 @@
 package repro.docs
 
+import java.nio.charset.StandardCharsets.UTF_8
+import java.security.MessageDigest
+import java.util.HexFormat
 import org.scalatest.funsuite.AnyFunSuite
 import repro.fn.ExtractorSet
 
@@ -11,6 +14,27 @@ class DocGenSpec extends AnyFunSuite {
     val a = DocGen.render(Corpora.fda, 3, seed)
     val b = DocGen.render(Corpora.fda, 3, seed)
     assert(a == b)
+  }
+
+  /** SHA-256 over the first 50 documents of every setting at `seed`: each
+    * document's id, text, and its gold and variant maps sorted by attribute.
+    */
+  private def renderDigest(seed: Long): String = {
+    val md = MessageDigest.getInstance("SHA-256")
+    for (setting <- Corpora.all; d <- DocGen.corpus(setting, 50, seed)) {
+      val gold     = d.gold.toSeq.sorted.map { case (a, v) => s"$a=$v" }
+      val variants = d.variantIdx.toSeq.sorted.map { case (a, i) => s"$a=$i" }
+      md.update((Seq(d.id, d.text) ++ gold ++ variants).mkString("\u0000", "\u0001", "\u0002").getBytes(UTF_8))
+    }
+    HexFormat.of.formatHex(md.digest())
+  }
+
+  test("rendered documents match their golden digests (first 50 of every setting, seeds 42 and 7)") {
+    val golden = Map(
+      42L -> "af148b2cea106673482a68091da55fed42386d22cca6bb8e528973f179f998a0",
+      7L  -> "25a69fb39e322785b392b218edcf56821419793c417c1e54bf4ee0b2e0c4332b",
+    )
+    assert(golden.map { case (s, _) => s -> renderDigest(s) } == golden)
   }
 
   test("different documents differ") {
@@ -129,6 +153,13 @@ class DocGenSpec extends AnyFunSuite {
     val f1 = Filler.paragraph(repro.util.Rng(1), 50)
     val f2 = Filler.paragraph(repro.util.Rng(1), 50)
     assert(f1 == f2 && f1.split("\\s+").length >= 45)
+  }
+
+  test("filler paragraphs equal the reference renderer for 0-40 words over 1,000 seeds") {
+    for (i <- 0 until 1000; n <- 0 to 40) {
+      val rng = repro.util.Rng(i.toLong).derive("filler", n)
+      assert(Filler.paragraph(rng, n) == FillerReference.paragraph(rng, n), s"seed $i, $n words")
+    }
   }
 
   test("filler never collides with any attribute label") {

@@ -26,6 +26,17 @@ class RngSpec extends AnyFunSuite {
     assert(Rng(1).derive("a", "b").seed != Rng(1).derive("b", "a").seed)
   }
 
+  test("indexed(key)(i) equals derive(key, i) bit for bit") {
+    for (s <- samples(Gen.long, 50) ++ Seq(Long.MinValue, -1L, 0L, Long.MaxValue);
+         key <- Seq("w", "shuffle", "", "filler")) {
+      val draw = Rng(s).indexed(key)
+      (Seq(0L, 1L, -1L, Long.MinValue, Long.MaxValue) ++ (0L until 100L)).foreach { i =>
+        assert(draw(i) == Rng(s).derive(key, i), s"seed $s, key '$key', index $i")
+      }
+      (0 until 100).foreach(i => assert(draw(i) == Rng(s).derive(key, i), s"seed $s, key '$key', Int $i"))
+    }
+  }
+
   test("chained derive equals flat derive only when keys aggregate identically") {
     // Not an algebraic identity, just must be deterministic both ways.
     val a = Rng(9).derive("x").derive("y")
@@ -50,6 +61,16 @@ class RngSpec extends AnyFunSuite {
   test("int(n) covers the range") {
     val xs = (0 until 2000).map(i => Rng(3).derive(i).int(7)).toSet
     assert(xs == (0 until 7).toSet)
+  }
+
+  test("int(n) equals the old draw (((mix(seed) >>> 1) % n) + n) % n up to n = 2^30, and is in [0, n) above") {
+    val seeds = samples(Gen.long, 200) ++ Seq(Long.MinValue, -1L, 0L, Long.MaxValue)
+    for (s <- seeds; n <- Seq(1, 2, 7, 51, 999, 10000, 1 << 30))
+      assert(Rng(s).int(n) == (((Rng.mix(s) >>> 1) % n).toInt + n) % n, s"seed $s, n $n")
+    for (s <- seeds; n <- Seq((1 << 30) + 1, Int.MaxValue - 1, Int.MaxValue)) {
+      val v = Rng(s).int(n)
+      assert(v >= 0 && v < n, s"seed $s, n $n: $v")
+    }
   }
 
   test("int(n) is non-negative for adversarial seeds") {
