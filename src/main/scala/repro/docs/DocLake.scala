@@ -2,13 +2,14 @@ package repro.docs
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.StructuredView
 
-/** Spark DataFrame views of a synthetic data lake.
+/** DataFrame views of a synthetic data lake.
   *
-  * Documents are generated *inside* Spark from `spark.range` — rendering is
+  * Documents are generated *inside* Spark from `spark.range`: rendering is
   * deterministic in (setting, idx, seed), so executors regenerate identical
-  * text without shipping materialized corpora, and the same calls back the
-  * gold table the metrics join against.
+  * text without shipping materialized corpora. Gold is a small tuple table
+  * like every view's, rendered on the driver and read without a Spark job.
   */
 object DocLake {
 
@@ -20,17 +21,10 @@ object DocLake {
       .select(renderId(col("id")) as "doc_id", renderText(col("id")) as "text")
   }
 
-  /** The ground-truth tuples: (doc_id, attr, value). */
-  def gold(spark: SparkSession, setting: Setting, nDocs: Int, seed: Long): DataFrame = {
-    val pairs = udf { (idx: Long) =>
-      DocGen.render(setting, idx, seed).gold.toSeq
-    }
-    spark.range(nDocs.toLong)
-      .select(
-        udf((idx: Long) => DocGen.docId(setting, idx)).apply(col("id")) as "doc_id",
-        explode(pairs(col("id"))) as "pair")
-      .select(col("doc_id"), col("pair._1") as "attr", col("pair._2") as "value")
-  }
+  /** The ground-truth tuples (doc_id, attr, value): `sample`'s gold maps as a local scan. */
+  def gold(spark: SparkSession, setting: Setting, nDocs: Int, seed: Long): DataFrame =
+    StructuredView.tuplesDf(spark, sample(setting, nDocs, seed).flatMap(d =>
+      d.gold.map { case (a, v) => (d.id, a, v) }))
 
   /** Driver-side corpus for sampling steps (schema synthesis, D_eval). */
   def sample(setting: Setting, nDocs: Int, seed: Long): Seq[RenderedDoc] =

@@ -26,16 +26,17 @@ object Harness {
 
   private val lakes = mutable.Map.empty[(String, Int, Long), (DataFrame, DataFrame)]
 
-  /** Documents + gold tuples for a setting, cached, and built once per
+  /** Documents + gold tuples for a setting, built once per
     * `(setting, nDocs, seed)` in a JVM: every table and test reuses them.
+    * The documents are cached; gold is a local scan (`DocLake.gold`), so
+    * reading it, whole or through `restrict`, starts no Spark job.
     */
   def lake(spark: SparkSession, setting: Setting, nDocs: Int, seed: Long): (DataFrame, DataFrame) =
     synchronized {
       lakes.getOrElseUpdate((setting.name, nDocs, seed), {
         val docs = DocLake.documents(spark, setting, nDocs, seed).cache()
-        val gold = DocLake.gold(spark, setting, nDocs, seed).cache()
-        docs.count(); gold.count()
-        (docs, gold)
+        docs.count()
+        (docs, DocLake.gold(spark, setting, nDocs, seed))
       })
     }
 

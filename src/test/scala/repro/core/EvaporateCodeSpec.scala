@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.execution.LocalTableScanExec
 import org.apache.spark.sql.functions.col
 import repro.SparkSpec
-import repro.docs.{Corpora, DocLake}
+import repro.docs.Corpora
 import repro.fn.ExtractorSet
 import repro.eval.{Harness, Metrics}
 import repro.llm.Profile
@@ -12,8 +12,7 @@ import repro.ws.Aggregation
 class EvaporateCodeSpec extends SparkSpec {
 
   private val seed = 42L
-  private lazy val docs = DocLake.documents(spark, Corpora.fda, 40, seed).cache()
-  private lazy val gold = DocLake.gold(spark, Corpora.fda, 40, seed).cache()
+  private lazy val (docs, gold) = Harness.lake(spark, Corpora.fda, 40, seed)
   private val k = Corpora.fda.goldAttrs.size
 
   test("code+ produces the tuple schema") {
@@ -110,13 +109,11 @@ class EvaporateCodeSpec extends SparkSpec {
   }
 
   test("jumbo still handles the rigid Enron headers (Table 5: Enron 85.7)") {
-    val eDocs = DocLake.documents(spark, Corpora.enron, 40, seed).cache()
-    val eGold = DocLake.gold(spark, Corpora.enron, 40, seed).cache()
+    val (eDocs, eGold) = Harness.lake(spark, Corpora.enron, 40, seed)
     val v = EvaporateCode.run(spark, Corpora.enron, eDocs, Profile.jumbo, seed,
       Corpora.enron.goldAttrs.size, givenSchema = Some(Corpora.enron.goldAttrs))
     val f1 = Metrics.closedTextF1(spark, v.table, eGold)
     assert(f1 > 0.5, s"jumbo enron closed F1 = $f1")
-    eDocs.unpersist(); eGold.unpersist()
   }
 
   test("validation drops attributes whose functions extract nothing") {

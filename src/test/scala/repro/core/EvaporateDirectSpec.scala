@@ -4,15 +4,14 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.execution.LocalTableScanExec
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.docs.{Corpora, DocLake, Naming}
+import repro.docs.{Corpora, Naming}
 import repro.eval.{Harness, Metrics}
 import repro.llm.Profile
 
 class EvaporateDirectSpec extends SparkSpec {
 
   private val seed = 42L
-  private lazy val docs = DocLake.documents(spark, Corpora.enron, 30, seed).cache()
-  private lazy val gold = DocLake.gold(spark, Corpora.enron, 30, seed).cache()
+  private lazy val (docs, gold) = Harness.lake(spark, Corpora.enron, 30, seed)
 
   test("open run produces the tuple schema and a ranked attribute list") {
     val v = EvaporateDirect.run(spark, Corpora.enron, docs, Profile.davinci, seed, 15)
