@@ -1,12 +1,14 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.functions.col
+import org.apache.spark.unsafe.types.UTF8String
 import repro.docs.{DocLake, Naming, Setting}
 import repro.fn.{Extractor, ExtractorSet, Synthesizer}
 import repro.llm.{Profile, SimLM}
 import repro.util.Rng
-import repro.ws.Aggregation
+import repro.ws.{Aggregation, VoteMatrix}
 
 /** Configuration for the code-synthesis implementations.
   *
@@ -57,9 +59,11 @@ final case class CodePlan(schema: Seq[String], attrs: Seq[AttrPlan], lm: SimLM,
   *
   * `plan` does the LLM work (schema synthesis, function synthesis, D_eval
   * labeling) once on a small driver-side sample and never reads the lake;
-  * `apply` ships the kept extractors in a single Spark UDF over the whole
-  * lake and aggregates their votes. The LLM token cost is *fixed* in the
-  * number of documents, the paper's headline property.
+  * `apply` runs the kept extractors over the whole lake in one Spark job,
+  * whose tasks return their documents' outputs interned to `Int` ids, and
+  * aggregates those votes on the driver without turning them back into
+  * strings. The LLM token cost is *fixed* in the number of documents, the
+  * paper's headline property.
   */
 object EvaporateCode {
 
@@ -123,36 +127,78 @@ object EvaporateCode {
       modes.map(m => plan.attrs.map(a => (a, a.keep(m))).filter(_._2.nonEmpty))
 
     // -- 2. one pass over the lake evaluating the distinct kept functions as
-    // one set per document; every vote slot indexes into its outputs --------
-    val lakeFns    = kept.flatten.flatMap(_._2).distinct.toIndexedSeq
-    val slotOf     = lakeFns.zipWithIndex.toMap
-    val lakeSet    = new ExtractorSet(lakeFns)
-    val outputsUdf = udf { (text: String) => lakeSet.extract(text) }
-    val outputs: Array[(String, IndexedSeq[String])] =
-      if (lakeFns.isEmpty) Array.empty
-      else docs.select(col("doc_id"), outputsUdf(col("text")))
-        .collect().map(r => (r.getString(0), r.getSeq[String](1).toIndexedSeq))
+    // one set per document; every vote slot is a column of its vote matrix --
+    val lakeFns         = kept.flatten.flatMap(_._2).distinct.toIndexedSeq
+    val slotOf          = lakeFns.zipWithIndex.toMap
+    val (docIds, votes) = lakePass(docs, lakeFns)
+    val order           = mapOrder(docIds)
+
+    // One UTF8String per doc_id and per distinct value, shared by every row
+    // and view that holds it.
+    val docUtf   = docIds.map(UTF8String.fromString)
+    val valueUtf = new Array[UTF8String](votes.nValues)
+    def value(id: Int): UTF8String = {
+      if (valueUtf(id) == null) valueUtf(id) = UTF8String.fromString(votes.value(id))
+      valueUtf(id)
+    }
 
     modes.zip(kept).map { case (mode, active) =>
-      // -- 3. per-attribute aggregation --------------------------------------
-      val predictions: Seq[(AttrPlan, Seq[(String, String, String)])] = active.map { case (a, fns) =>
-        val slots = fns.map(slotOf).toIndexedSeq
-        val rows  = outputs.toSeq.map { case (id, outs) => (id, slots.map(outs)) }
-        a -> Aggregation.aggregate(rows, a.e, mode)
-          .collect { case (id, v) if v.nonEmpty => (id, a.attr, v) }.toSeq
+      // -- 3. per-attribute aggregation: each row's predicted value id, and
+      // the rows listed with a value, in view order ---------------------------
+      val predictions: Seq[(AttrPlan, Array[Int], Array[Int])] = active.map { case (a, fns) =>
+        val ids = Aggregation.predict(votes, fns.map(slotOf).toIndexedSeq, a.e, mode)
+        (a, ids, order.filter(d => votes.value(ids(d)).nonEmpty))
       }
 
       // -- 4. unsupervised schema validation (prompt E.4) --------------------
-      val verdicts: Seq[(Boolean, Long)] = predictions.map { case (a, tuples) =>
-        val vals = tuples.take(5).map(_._3)
+      val verdicts: Seq[(Boolean, Long)] = predictions.map { case (a, ids, listed) =>
+        val vals = listed.take(5).map(d => votes.value(ids(d))).toSeq
         if (a.labels.isEmpty) (true, 0L) // Evaporate-Code trusts its function
         else if (vals.isEmpty) (false, 0L)
         else plan.lm.validateAttr(a.attr, vals)
       }
 
-      val finalTuples = predictions.zip(verdicts).flatMap { case ((_, t), (ok, _)) => if (ok) t else Nil }
-      StructuredView(StructuredView.tuplesDf(spark, finalTuples), plan.schema,
+      val rows = predictions.zip(verdicts).flatMap { case ((a, ids, listed), (ok, _)) =>
+        val attr = UTF8String.fromString(a.attr)
+        if (ok) listed.map(d => InternalRow(docUtf(d), attr, value(ids(d)))) else Nil
+      }
+      StructuredView(TupleSource.load(spark, rows.toArray), plan.schema,
         plan.tokens + ("validate" -> verdicts.map(_._2).sum))
     }
   }
+
+  /** Every lake row's doc_id and its outputs of `fns`, interned, in the
+    * lake's row order. One Spark job, none when `fns` is empty: each task
+    * reads its partition's rows as `InternalRow`s, runs `fns` as one set on
+    * each, and interns the outputs into its own dictionary; the driver merges
+    * the partitions' dictionaries once.
+    */
+  private def lakePass(docs: DataFrame, fns: IndexedSeq[Extractor]): (Array[String], VoteMatrix) = {
+    val nFns = fns.size
+    if (nFns == 0) return (Array.empty, new VoteMatrix.Builder(0).result())
+    val set = new ExtractorSet(fns)
+    val parts = docs.select(col("doc_id"), col("text")).queryExecution.toRdd.mapPartitions { rows =>
+      val ids   = Array.newBuilder[String]
+      val votes = new VoteMatrix.Builder(nFns)
+      rows.foreach { r =>
+        ids += string(r, 0)
+        votes.add(set.extract(string(r, 1)))
+      }
+      Iterator.single((ids.result(), votes.result()))
+    }.collect()
+    (parts.flatMap(_._1), VoteMatrix.concat(nFns, parts.toSeq.map(_._2)))
+  }
+
+  private def string(r: InternalRow, i: Int): String =
+    if (r.isNullAt(i)) null else r.getUTF8String(i).toString
+
+  /** The order a view lists each attribute's tuples in, as lake row
+    * indices: the iteration order of an immutable `Map` keyed by doc_id and
+    * built from the rows in lake order, so a repeated doc_id keeps its first
+    * key's place and lists its last row. E.4 validates an attribute's first
+    * five tuples in this order, so it fixes the `validate` tokens; a defined
+    * sample would replace this one helper.
+    */
+  private def mapOrder(docIds: Array[String]): Array[Int] =
+    docIds.indices.map(d => docIds(d) -> d).toMap.valuesIterator.toArray
 }

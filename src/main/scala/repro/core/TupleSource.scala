@@ -49,13 +49,18 @@ object TupleSource {
   private[core] def pending: Int = handoff.size
 
   /** `tuples` as a `(doc_id, attr, value)` DataFrame, each converted once to
-    * a row of `UTF8String`s. The plan captures the table during `load()`, so
-    * the handoff entry is removed once `load()` returns or throws.
+    * a row of `UTF8String`s.
     */
-  private[core] def load(spark: SparkSession, tuples: Seq[(String, String, String)]): DataFrame = {
-    val rows: Array[InternalRow] = tuples.iterator.map { case (d, a, v) =>
+  private[core] def load(spark: SparkSession, tuples: Seq[(String, String, String)]): DataFrame =
+    load(spark, tuples.iterator.map { case (d, a, v) =>
       InternalRow(UTF8String.fromString(d), UTF8String.fromString(a), UTF8String.fromString(v))
-    }.toArray
+    }.toArray)
+
+  /** `rows`, each `(doc_id, attr, value)` as `UTF8String`s, as a DataFrame.
+    * The plan captures the table during `load()`, so the handoff entry is
+    * removed once `load()` returns or throws.
+    */
+  private[core] def load(spark: SparkSession, rows: Array[InternalRow]): DataFrame = {
     val id = nextId.incrementAndGet().toString
     handoff.put(id, rows)
     try spark.read.format(classOf[TupleSource].getName).option("id", id).load()

@@ -1,5 +1,6 @@
 package repro.docs
 
+import java.nio.charset.StandardCharsets.ISO_8859_1
 import repro.fn.ExtractorSet
 import repro.util.Rng
 
@@ -30,22 +31,38 @@ object Filler {
     "outcomes", "support", "stated", "conclusions", "under", "normal",
     "operating", "circumstances")
 
+  // Each word's bytes, plain and capitalised: the bank is ASCII, so one byte
+  // per char of a Latin-1 `String`.
+  private val plain: Array[Array[Byte]]   = words.map(_.getBytes(ISO_8859_1)).toArray
+  private val capital: Array[Array[Byte]] = words.map(_.capitalize.getBytes(ISO_8859_1)).toArray
+  private val maxWordBytes: Int           = plain.map(_.length).max
+
   /** `nWords` words drawn from the bank (word `i` by `rng.derive("w", i)`),
-    * written in their final form in one pass: the first word capitalised, a
-    * sentence break `". "` before every 12th word (the next sentence starts
-    * in lower case), and a closing `"."`.
+    * written in their final form in one pass into a byte buffer that the
+    * `String` copies once: the first word capitalised, a sentence break
+    * `". "` before every 12th word (the next sentence starts in lower case),
+    * and a closing `"."`. `"."` alone when `nWords <= 0`.
     */
   def paragraph(rng: Rng, nWords: Int): String = {
     val draw = rng.indexed("w")
-    val sb   = new java.lang.StringBuilder(math.max(nWords, 0) * 12 + 1)
+    val buf  = new Array[Byte](math.max(nWords, 0) * (maxWordBytes + 2) + 1)
+    var len  = 0
     var i    = 0
     while (i < nWords) {
-      val w = words(draw(i).int(words.length))
-      if (i == 0) sb.append(w.capitalize)
-      else sb.append(if (i % 12 == 0) ". " else " ").append(w)
+      val k = draw(i).int(plain.length)
+      val w =
+        if (i == 0) capital(k)
+        else {
+          if (i % 12 == 0) { buf(len) = '.'.toByte; len += 1 }
+          buf(len) = ' '.toByte; len += 1
+          plain(k)
+        }
+      System.arraycopy(w, 0, buf, len, w.length)
+      len += w.length
       i += 1
     }
-    sb.append('.').toString
+    buf(len) = '.'.toByte
+    new String(buf, 0, len + 1, ISO_8859_1)
   }
 }
 

@@ -11,7 +11,7 @@ import scala.util.matching.Regex
   * functions (`get_<attr>_field(text)`), which are then executed over every
   * document. In this reproduction a synthesized function is a node of this
   * serializable AST, interpreted by pure string operations — safe to ship
-  * inside Spark UDF closures and cheap enough to run at scale. Every kind
+  * inside Spark task closures and cheap enough to run at scale. Every kind
   * that reads a document with a regex is a [[Extractor.RegexKind]], which
   * finds its leftmost match through [[FirstMatch]], the one regex runtime.
   * Functions run together as an [[ExtractorSet]], whose shared line and row
@@ -269,7 +269,7 @@ object Extractor {
   * Each output carries the start of its match ([[ExtractorSet.Hit]]), which
   * is where `DocParser` locates a field.
   *
-  * Serializable, so one set ships in a Spark UDF closure.
+  * Serializable, so one set ships in a Spark task's closure.
   */
 final class ExtractorSet(fns: Seq[Extractor]) extends Serializable {
   import Extractor._
@@ -369,13 +369,30 @@ object ExtractorSet {
           }
           colon += 1
         }
+        line = lineEnd(line) + 1
+      }
+      (exact, folded)
+    }
+
+    // Whether '\n' is the text's only line terminator, so a line ends at the
+    // next '\n' (found by `indexOf`, not char by char).
+    private lazy val lfOnly: Boolean = "\r\u0085\u2028\u2029".forall(text.indexOf(_) < 0)
+
+    /** The end of the line from `line`: its terminator (`\r\n` ends at the
+      * `\n`), or the text's end.
+      */
+    private def lineEnd(line: Int): Int = {
+      val n = text.length
+      if (lfOnly) {
+        val lf = text.indexOf('\n', line)
+        if (lf < 0) n else lf
+      } else {
         var end = line
         while (end < n && !(isLineEnd(text.charAt(end)) &&
                  !(text.charAt(end) == '\r' && end + 1 < n && text.charAt(end + 1) == '\n')))
           end += 1
-        line = end + 1
+        end
       }
-      (exact, folded)
     }
 
     /** The `>` positions whose row key, lower-cased, is `key`, in document

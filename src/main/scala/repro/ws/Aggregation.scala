@@ -79,12 +79,9 @@ object Aggregation {
     * precisely the off-the-shelf-WS weakness the paper identifies.
     */
   def interpretVote(raw: String, e: Double, mode: Mode): Option[String] =
-    Option(vote(raw, emptyAbstains(e, mode)))
+    if (raw.isEmpty && emptyAbstains(e, mode)) None else Some(raw)
 
   private def emptyAbstains(e: Double, mode: Mode): Boolean = mode == WsFull && e > Tau
-
-  /** `raw` as a vote, or null for an abstention. */
-  private def vote(raw: String, emptyAbstains: Boolean): String = if (raw.isEmpty && emptyAbstains) null else raw
 
   /** Step 6/7 bucketing: keep each document's top-b distinct values by vote
     * count; votes outside the top-b become abstentions.
@@ -122,29 +119,38 @@ object Aggregation {
     }
   }
 
-  /** Step 7: aggregate a full vote matrix into one prediction per document.
-    *
-    * The raw outputs are interned into one [[VoteMatrix]], bucketed, and fit
-    * and predicted by [[LabelModel]] over `Int` ids.
-    *
-    * @param rows docId -> raw outputs of the selected functions (aligned)
-    * @return docId -> final extraction ("" = no value predicted)
+  /** Steps 6–7 over interned votes: columns `fns` of `lake`, whose cells are
+    * raw function outputs ("" included), with empties post-processed per `e`
+    * and `mode`, bucketed, and fit and predicted by [[LabelModel]]. Each
+    * document's prediction is an id into `lake`'s values ("" = no value),
+    * or Abstain when every function abstained.
     */
-  def aggregate(rows: Seq[(String, IndexedSeq[String])], e: Double, mode: Mode): Map[String, String] = {
-    if (rows.isEmpty) return Map.empty
-    val docs     = rows.toIndexedSeq
-    val abstains = emptyAbstains(e, mode)
-    val votes = VoteMatrix(docs.size, docs.head._2.length) { (d, j) =>
-      val raw = docs(d)._2
-      if (j < raw.length) vote(raw(j), abstains) else null
-    }
+  def predict(lake: VoteMatrix, fns: IndexedSeq[Int], e: Double, mode: Mode): Array[Int] = {
+    val votes = lake.select(fns, emptyAbstains(e, mode))
     bucket(votes, VoteBuckets)
-
     val w: Array[Double] = mode match {
       case MajorityVote => Array.fill(votes.nFns)(1.0)
       case _            => LabelModel.weights(LabelModel.fit(votes))
     }
+    Array.tabulate(votes.nDocs)(LabelModel.predict(votes, _, w))
+  }
 
-    docs.indices.map(d => docs(d)._1 -> votes.value(LabelModel.predict(votes, d, w))).toMap
+  /** Step 7 on raw strings: [[predict]] over `rows` interned into one
+    * [[VoteMatrix]] (a cell past a row's end abstains).
+    *
+    * @param rows docId -> raw outputs of the selected functions (aligned)
+    * @return docId -> final extraction ("" = no value predicted); a repeated
+    *         docId maps to its last row's
+    */
+  def aggregate(rows: Seq[(String, IndexedSeq[String])], e: Double, mode: Mode): Map[String, String] = {
+    if (rows.isEmpty) return Map.empty
+    val docs = rows.toIndexedSeq
+    val nFns = docs.head._2.length
+    val lake = VoteMatrix(docs.size, nFns) { (d, j) =>
+      val raw = docs(d)._2
+      if (j < raw.length) raw(j) else null
+    }
+    val ids = predict(lake, 0 until nFns, e, mode)
+    docs.indices.map(d => docs(d)._1 -> lake.value(ids(d))).toMap
   }
 }

@@ -162,6 +162,15 @@ class DocGenSpec extends AnyFunSuite {
     }
   }
 
+  test("filler paragraphs equal the reference renderer at every setting's word count and at nWords <= 0 over 1,000 seeds") {
+    val counts = Corpora.all.map(_.fillerWordsPerSection).distinct
+    assert(counts.toSet == Set(40, 120, 140, 180, 280))
+    for (i <- 0 until 1000; n <- counts ++ Seq(0, -1, -12, Int.MinValue)) {
+      val rng = repro.util.Rng(i.toLong).derive("filler", n)
+      assert(Filler.paragraph(rng, n) == FillerReference.paragraph(rng, n), s"seed $i, $n words")
+    }
+  }
+
   test("filler never collides with any attribute label") {
     val labels = Corpora.all.flatMap(_.attrs.flatMap(_.variants.flatMap(_._1.labelText))).distinct
     val filler = (0 until 50).map(i => Filler.paragraph(repro.util.Rng(i.toLong), 100)).mkString(" ")

@@ -57,6 +57,33 @@ class VoteMatrixSpec extends AnyFunSuite {
       checkAll(matrix.apply(Gen.Parameters.default, Seed(i.toLong)).get, s"seed $i")
   }
 
+  test("property: votes interned in parts, merged, and predicted over a column subset equal the reference") {
+    val lake = for {
+      nDocs  <- Gen.choose(0, 40)
+      nFns   <- Gen.choose(1, 8)
+      spread <- Gen.choose(2, vocab.size)
+      rows   <- rawRows(nDocs, nFns, spread)
+      cuts   <- Gen.listOfN(3, Gen.choose(0, nDocs)) // parts may be empty
+      k      <- Gen.choose(1, nFns)
+      cols   <- Gen.pick(k, 0 until nFns)
+    } yield (rows, nFns, (0 +: cuts.sorted :+ nDocs), cols.toIndexedSeq)
+    for (i <- 0 until 200) {
+      val (raw, nFns, bounds, cols) = lake.apply(Gen.Parameters.default, Seed(i.toLong)).get
+      val parts  = bounds.zip(bounds.tail).map { case (a, b) =>
+        val p = raw.slice(a, b)
+        VoteMatrix(p.size, nFns)((d, j) => p(d)(j))
+      }
+      val merged = VoteMatrix.concat(nFns, parts)
+      assert(merged.nDocs == raw.size && merged.nValues == raw.flatten.distinct.size, s"seed $i")
+      val rows = raw.zipWithIndex.map { case (r, d) => (s"d$d", cols.map(r)) }
+      for (mode <- modes; e <- es) {
+        val ids = predict(merged, cols, e, mode)
+        val ref = AggregationReference.aggregate(rows, e, mode)
+        assert(rows.indices.forall(d => merged.value(ids(d)) == ref(s"d$d")), s"seed $i $mode e=$e")
+      }
+    }
+  }
+
   test("ties at the bucket cut and in the weighted argmax, and rows past VoteBuckets values") {
     checkAll(IndexedSeq(
       IndexedSeq("e", "d", "c", "b", "a", "f"),   // six values, one vote each: the cut is by value
