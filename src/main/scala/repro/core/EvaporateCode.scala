@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.functions.col
 import org.apache.spark.unsafe.types.UTF8String
 import repro.docs.{DocLake, Naming, Setting}
 import repro.fn.{Extractor, ExtractorSet, Synthesizer}
@@ -169,28 +168,25 @@ object EvaporateCode {
 
   /** Every lake row's doc_id and its outputs of `fns`, interned, in the
     * lake's row order. One Spark job, none when `fns` is empty: each task
-    * reads its partition's rows as `InternalRow`s, runs `fns` as one set on
-    * each, and interns the outputs into its own dictionary; the driver merges
-    * the partitions' dictionaries once.
+    * reads its partition's rows (`DocLake.perPartition`), runs `fns` as one
+    * set on each, and interns the outputs into its own dictionary; the
+    * driver merges the partitions' dictionaries once.
     */
   private def lakePass(docs: DataFrame, fns: IndexedSeq[Extractor]): (Array[String], VoteMatrix) = {
     val nFns = fns.size
     if (nFns == 0) return (Array.empty, new VoteMatrix.Builder(0).result())
     val set = new ExtractorSet(fns)
-    val parts = docs.select(col("doc_id"), col("text")).queryExecution.toRdd.mapPartitions { rows =>
+    val parts = DocLake.perPartition(docs) { rows =>
       val ids   = Array.newBuilder[String]
       val votes = new VoteMatrix.Builder(nFns)
-      rows.foreach { r =>
-        ids += string(r, 0)
-        votes.add(set.extract(string(r, 1)))
+      rows.foreach { case (id, text) =>
+        ids += id
+        votes.add(set.extract(text))
       }
-      Iterator.single((ids.result(), votes.result()))
-    }.collect()
+      (ids.result(), votes.result())
+    }
     (parts.flatMap(_._1), VoteMatrix.concat(nFns, parts.toSeq.map(_._2)))
   }
-
-  private def string(r: InternalRow, i: Int): String =
-    if (r.isNullAt(i)) null else r.getUTF8String(i).toString
 
   /** The order a view lists each attribute's tuples in, as lake row
     * indices: the iteration order of an immutable `Map` keyed by doc_id and

@@ -61,11 +61,18 @@ final case class Setting(
   /** Gold attribute names (the `k` used for Pair-F1@k and schema F1@k). */
   def goldAttrs: Seq[String] = attrs.map(_.name)
 
-  def attrByName(n: String): Option[AttrSpec] = {
-    val norm = Naming.normalize(n)
-    attrs.find(a => Naming.normalize(a.name) == norm)
-      .orElse(attrs.find(_.aliases.exists(al => Naming.normalize(al) == norm)))
-  }
+  /** The attribute `n` names after `Naming.normalize`: the first whose name
+    * matches, else the first with a matching alias.
+    */
+  def attrByName(n: String): Option[AttrSpec] = byName.get(Naming.normalize(n))
+
+  /** Every normalized name and alias, each for the first attribute that
+    * claims it, every name before any alias (`toMap` keeps a key's last
+    * binding, so the claims go in reversed).
+    */
+  private lazy val byName: Map[String, AttrSpec] =
+    (attrs.map(a => a.name -> a) ++ attrs.flatMap(a => a.aliases.map(_ -> a))).reverse
+      .map { case (n, a) => Naming.normalize(n) -> a }.toMap
 }
 
 /** Attribute-name normalization shared by the simulated LLM, schema

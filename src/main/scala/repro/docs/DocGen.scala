@@ -147,17 +147,21 @@ object DocParser {
   final case class ParsedField(attr: String, value: String, offset: Int)
 
   /** Every attribute of `setting` found in `text`: one run of its readers. */
-  def parse(setting: Setting, text: String): Seq[ParsedField] =
+  def parse(setting: Setting, text: String): Seq[ParsedField] = read(setting, text).map(_._2)
+
+  /** `parse(setting, text)`, each field with the attribute it was read for. */
+  def read(setting: Setting, text: String): Seq[(AttrSpec, ParsedField)] =
     fields(setting.attrs, setting.readers.hits(text))
 
   /** `attr`'s field in `text`, read by its own variants' readers alone. */
   def parse(attr: AttrSpec, text: String): Option[ParsedField] =
-    fields(Seq(attr), attr.readers.hits(text)).headOption
+    fields(Seq(attr), attr.readers.hits(text)).headOption.map(_._2)
 
   /** `hits` holds each of `attrs`' variant readers' hits, in order. */
-  private def fields(attrs: Seq[AttrSpec], hits: IndexedSeq[ExtractorSet.Hit]): Seq[ParsedField] =
+  private def fields(attrs: Seq[AttrSpec],
+                     hits: IndexedSeq[ExtractorSet.Hit]): Seq[(AttrSpec, ParsedField)] =
     attrs.zip(attrs.scanLeft(0)(_ + _.variants.size)).flatMap { case (a, from) =>
       hits.slice(from, from + a.variants.size).find(_.value.nonEmpty)
-        .map(h => ParsedField(a.name, h.value, h.start))
+        .map(h => a -> ParsedField(a.name, h.value, h.start))
     }
 }

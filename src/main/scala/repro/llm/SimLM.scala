@@ -1,5 +1,6 @@
 package repro.llm
 
+import java.util.regex.Pattern
 import repro.docs.{DocParser, Naming, Setting}
 import repro.util.{Rng, Tokens}
 
@@ -21,8 +22,8 @@ final case class OpenExtraction(pairs: Seq[LmPair], tokens: Long)
   * call kind) and return the number of tokens "processed" (prompt + chunk +
   * generation), which is the paper's cost metric.
   *
-  * Serializable so extraction calls can run inside Spark UDFs; token counts
-  * travel back as DataFrame columns.
+  * Serializable so extraction calls can run inside Spark tasks: Direct's
+  * lake pass calls it per document and sums the token counts per partition.
   */
 final case class SimLM(profile: Profile, setting: Setting, seed: Long) extends Serializable {
 
@@ -55,22 +56,23 @@ final case class SimLM(profile: Profile, setting: Setting, seed: Long) extends S
   private val realNames: Set[String] =
     setting.attrs.flatMap(a => a.name +: a.aliases).map(Naming.normalize).toSet
 
-  private def junkName(rng: Rng): Option[String] = {
-    val n = rng.pick(junkPool)
-    if (realNames.contains(Naming.normalize(n))) None else Some(n)
-  }
+  /** `junkPool`, each name `None` where it collides with a real one. */
+  private val junkNames: Vector[Option[String]] =
+    junkPool.map(n => if (realNames.contains(Naming.normalize(n))) None else Some(n))
+
+  private def junkName(rng: Rng): Option[String] = rng.pick(junkNames)
 
   /** Value-mangling probability scales with value length: short canonical
     * values (header tokens, codes) are rarely corrupted, long free-text
     * values (indications-for-use sentences) often are.
     */
   private def valueNoiseProb(v: String): Double = {
-    val toks = v.split("\\s+").length
+    val toks = SimLM.Whitespace.split(v).length
     profile.valueNoise * math.min(1.5, 0.35 + toks / 6.0)
   }
 
   private def mangleValue(v: String, rng: Rng): String = {
-    val toks = v.split("\\s+")
+    val toks = SimLM.Whitespace.split(v)
     rng.derive("mode").int(3) match {
       case 0 if toks.length > 1 => toks.dropRight(1).mkString(" ")
       case 1 if toks.length > 2 => toks.take(2).mkString(" ")
@@ -87,15 +89,14 @@ final case class SimLM(profile: Profile, setting: Setting, seed: Long) extends S
     val refused =
       (0 until chunks).filter(c => rng.derive("refuse", c).bool(profile.refusalProb)).toSet
 
-    val fields = DocParser.parse(setting, text)
-    val kept = fields.flatMap { f =>
+    val fields = DocParser.read(setting, text)
+    val kept = fields.flatMap { case (spec, f) =>
       val chunk = math.min(chunks - 1, f.offset / windowChars)
       if (refused.contains(chunk)) None
       else {
         val pMiss = math.min(0.85, profile.missBase + profile.missPerChunk * chunk)
         if (rng.derive("miss", f.attr).bool(pMiss)) None
         else {
-          val spec = setting.attrByName(f.attr).get
           val name =
             if (spec.aliases.nonEmpty && rng.derive("alias", f.attr).bool(profile.aliasProb))
               rng.derive("aliaspick", f.attr).pick(spec.aliases)
@@ -185,4 +186,9 @@ final case class SimLM(profile: Profile, setting: Setting, seed: Long) extends S
     val tokens   = values.map(v => Prompts.validateTokens + Tokens.count(v) + 1L).sum
     (nonEmpty * 2 >= values.size && nonEmpty > 0, tokens)
   }
+}
+
+object SimLM {
+  /** What `String.split("\\s+")` splits on, compiled once. */
+  private val Whitespace = Pattern.compile("\\s+")
 }

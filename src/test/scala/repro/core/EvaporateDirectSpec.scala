@@ -1,8 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.execution.LocalTableScanExec
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{StringType, StructField, StructType}
 import repro.{Oracle, SparkSpec}
 import repro.docs.{Corpora, Naming}
 import repro.eval.{Harness, Metrics}
@@ -86,6 +87,25 @@ class EvaporateDirectSpec extends SparkSpec {
     assert(repeated.schema == plain.schema)
     assert(repeated.tokens == plain.tokens + single.tokens)
     assert(rows(repeated).sorted == (rows(plain) ++ copy).sorted)
+  }
+
+  test("a row whose doc_id or text is null is not sent to the LLM: no tuples and 0 tokens") {
+    val schema = StructType(Seq(StructField("doc_id", StringType), StructField("text", StringType)))
+    val text   = docs.head().getString(1)
+    val nulls  = spark.createDataFrame(java.util.List.of(Row(null, text), Row("no-text", null),
+      Row(null, null)), schema)
+    def views(d: DataFrame) = Seq(
+      EvaporateDirect.run(spark, Corpora.enron, d, Profile.davinci, seed, 15),
+      EvaporateDirect.runClosed(spark, Corpora.enron, d, Profile.davinci, seed, Corpora.enron.goldAttrs))
+    views(nulls).foreach { v =>
+      assert(v.table.collect().isEmpty)
+      assert(v.tokens == 0L)
+    }
+    views(docs).zip(views(docs.union(nulls))).foreach { case (plain, withNulls) =>
+      assert(withNulls.table.collect().toSeq == plain.table.collect().toSeq)
+      assert(withNulls.schema == plain.schema)
+      assert(withNulls.tokenBreakdown == plain.tokenBreakdown)
+    }
   }
 
   test("value cleaning strips only U+0020 at the edges, as Spark SQL's trim, and drops blanks") {

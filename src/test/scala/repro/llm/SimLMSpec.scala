@@ -167,8 +167,14 @@ class SimLMSpec extends AnyFunSuite {
     assert(!lm().validateAttr("product code", Seq())._1)
   }
 
-  test("SimLM is serializable (it runs inside Spark UDFs)") {
-    val oos = new java.io.ObjectOutputStream(new java.io.ByteArrayOutputStream())
+  test("SimLM is serializable (Direct's lake pass calls it inside Spark tasks)") {
+    val bytes = new java.io.ByteArrayOutputStream()
+    val oos   = new java.io.ObjectOutputStream(bytes)
     oos.writeObject(lm())
+    oos.close()
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[SimLM]
+    val d = fdaDocs.head
+    assert(copy.openExtract(d.id, d.text) == lm().openExtract(d.id, d.text))
   }
 }

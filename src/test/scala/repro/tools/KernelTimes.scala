@@ -3,14 +3,16 @@ package repro.tools
 import repro.core.EvaporateCode
 import repro.docs.{Corpora, DocGen, DocParser}
 import repro.fn.ExtractorSet
-import repro.llm.Profile
+import repro.llm.{Profile, SimLM}
 import repro.ws.Aggregation
 
-/** Per-document times of the three driver-free kernels of a lake pass, per
-  * setting: `DocGen.render`, `DocParser.parse` (what the simulated LLM reads)
-  * and the kept-function set of full Algorithm 1 (`ExtractorSet.extract`
-  * over every function Code+ keeps, planned as the `lake_scale` benchmark
-  * plans it: davinci, seed 42, k = the setting's gold attributes).
+/** Per-document times of the driver-free kernels of a lake pass, per
+  * setting: `DocGen.render`, `DocParser.parse` (what the simulated LLM reads),
+  * the kept-function set of full Algorithm 1 (`ExtractorSet.extract` over
+  * every function Code+ keeps, planned as the `lake_scale` benchmark plans
+  * it: davinci, seed 42, k = the setting's gold attributes), and the
+  * simulated LLM of Evaporate-Direct (davinci, seed 42): `SimLM.openExtract`
+  * (open) and `SimLM.closedExtract` over the gold attributes (closed).
   *
   * Each figure is the median of 9 timed runs over the same 1,000 documents,
   * after 3 untimed runs, in one JVM and one thread, in µs per document.
@@ -40,9 +42,12 @@ object KernelTimes {
   }
 
   def main(args: Array[String]): Unit = {
-    println(f"${"setting"}%-34s ${"render"}%9s ${"parse"}%9s ${"kept set"}%9s ${"fns"}%4s  (us per document)")
+    println(f"${"setting"}%-34s ${"render"}%9s ${"parse"}%9s ${"kept set"}%9s ${"fns"}%4s " +
+      f"${"open"}%9s ${"closed"}%9s  (us per document)")
     for (s <- Corpora.all) {
-      val texts = (0L until Docs.toLong).map(DocGen.render(s, _, Seed).text)
+      val docs  = (0L until Docs.toLong).map(DocGen.render(s, _, Seed))
+      val texts = docs.map(_.text)
+      val lm    = SimLM(Profile.davinci, s, Seed)
       val plan  = EvaporateCode.plan(s, Profile.davinci, Seed, s.goldAttrs.size)
       val kept  = plan.attrs.flatMap(_.keep(Aggregation.WsFull)).distinct
       val set   = new ExtractorSet(kept)
@@ -50,7 +55,9 @@ object KernelTimes {
       val render = usPerDoc(() => (0L until Docs.toLong).map(DocGen.render(s, _, Seed).text.length.toLong).sum)
       val parse  = usPerDoc(() => texts.map(t => DocParser.parse(s, t).size.toLong).sum)
       val keptUs = usPerDoc(() => texts.map(t => set.extract(t).size.toLong).sum)
-      println(f"${s.name}%-34s $render%9.1f $parse%9.1f $keptUs%9.1f ${kept.size}%4d")
+      val open   = usPerDoc(() => docs.map(d => lm.openExtract(d.id, d.text).tokens).sum)
+      val closed = usPerDoc(() => docs.map(d => s.goldAttrs.map(a => lm.closedExtract(d.id, d.text, a)._2).sum).sum)
+      println(f"${s.name}%-34s $render%9.1f $parse%9.1f $keptUs%9.1f ${kept.size}%4d $open%9.1f $closed%9.1f")
     }
     if (sink == 42L) println() // reads the sink
   }
