@@ -72,7 +72,9 @@ object DomBaselines {
   /** Learned mapping from (normalized) label text to attribute name. */
   final case class LabelMap(byLabel: Map[String, String]) {
 
-    private def tokens(s: String): Set[String] = Naming.normalize(s).split(" ").toSet
+    /** Each learned label's token set and attribute, in `byLabel` order. */
+    private lazy val keyed: Seq[(Set[String], String)] =
+      byLabel.toSeq.map { case (k, a) => (Naming.normalize(k).split(" ").toSet, a) }
 
     /** Resolve a rendered label to an attribute under a model's matching
       * power: exact (Base), token-set (Structural), fuzzy (DOM-LM).
@@ -80,18 +82,14 @@ object DomBaselines {
     def resolve(label: String, model: Model): Option[String] = {
       val norm = Naming.normalize(label)
       val exact = byLabel.get(norm)
+      lazy val lt = norm.split(" ").toSet
       model match {
         case RobertaBase => exact
         case RobertaStructural =>
-          exact.orElse {
-            val lt = tokens(label)
-            byLabel.collectFirst { case (k, a) if tokens(k) == lt => a }
-          }
+          exact.orElse(keyed.collectFirst { case (kt, a) if kt == lt => a })
         case DomLM =>
           exact.orElse {
-            val lt = tokens(label)
-            byLabel.toSeq.flatMap { case (k, a) =>
-              val kt = tokens(k)
+            keyed.flatMap { case (kt, a) =>
               val j  = if (lt.isEmpty && kt.isEmpty) 0.0
                        else lt.intersect(kt).size.toDouble / lt.union(kt).size
               if (j >= 0.5) Some((j, a)) else None
@@ -160,24 +158,27 @@ object DomBaselines {
     }
   }
 
-  /** ClosedIE: extract one named attribute from one document. */
-  def closedExtract(doc: RenderedDoc, attr: String, model: Model, labels: LabelMap,
-                    seed: Long): String = {
-    val rng   = Rng(seed).derive("domc", doc.id, model.name, attr)
-    val pairs = leafPairs(doc.text)
-    val hit = model match {
-      case ZeroShotCeres =>
-        val at = Naming.normalize(attr)
-        pairs.find { case (l, _) =>
+  /** ClosedIE: each of `attrs` from one document ("" where none is found),
+    * from one read of its leaf rows, each row's label resolved once.
+    */
+  def closedExtract(doc: RenderedDoc, attrs: Seq[String], model: Model, labels: LabelMap,
+                    seed: Long): Seq[String] = {
+    val leaves: Seq[(String => Boolean, String)] = leafPairs(doc.text).map { case (l, v) =>
+      val matches: String => Boolean = model match {
+        case ZeroShotCeres =>
           val ln = Naming.normalize(l)
-          ln == at || ln.contains(at) || at.contains(ln)
-        }
-      case m =>
-        pairs.find { case (l, _) => labels.resolve(l, m).exists(Naming.normalize(_) == Naming.normalize(attr)) }
+          at => ln == at || ln.contains(at) || at.contains(ln)
+        case m =>
+          val resolved = labels.resolve(l, m).map(Naming.normalize)
+          at => resolved.contains(at)
+      }
+      (matches, v)
     }
-    hit match {
-      case Some((_, v)) if !rng.derive("drop").bool(model.dropProb) => v
-      case _                                                        => ""
+    attrs.map { attr =>
+      val at   = Naming.normalize(attr)
+      val drop = Rng(seed).derive("domc", doc.id, model.name, attr).derive("drop")
+      leaves.collectFirst { case (matches, v) if matches(at) => v }
+        .filterNot(_ => drop.bool(model.dropProb)).getOrElse("")
     }
   }
 }

@@ -92,7 +92,12 @@ object EvaporateCode {
     }
     val attrs = if (givenSchema.isDefined) schema else schema.take(k)
 
-    val planned: Seq[(AttrPlan, Long, Long)] = attrs.map { attr => // (plan, synth, eval tokens)
+    // D_eval labels (prompt E.2): one call per sample document for every attribute.
+    val labeled: Seq[Seq[(String, Long)]] =
+      if (cfg.singleFunction) Nil else sample.map(d => lm.closedExtract(d.id, d.text, attrs))
+
+    // (plan, synth tokens, eval tokens) per attribute
+    val planned: Seq[(AttrPlan, Long, Long)] = attrs.zipWithIndex.map { case (attr, i) =>
       val spec = setting.attrByName(attr)
       if (cfg.singleFunction) {
         val doc = spec.flatMap(s => sample.find(_.gold.contains(s.name)))
@@ -102,12 +107,11 @@ object EvaporateCode {
       } else {
         val (cands, synthTokens) = Synthesizer.candidates(spec, attr, sample, cfg.perPrompt,
           profile, seed, cfg.prompts)
-        val labeled = sample.map(d => lm.closedExtract(d.id, d.text, attr))
-        val labels  = labeled.map(_._1)
+        val labels  = labeled.map(_(i)._1)
         val candSet = new ExtractorSet(cands)
         val perDoc  = sample.map(d => candSet.extract(d.text))
-        (AttrPlan(attr, cands, Some(labels), cands.indices.map(i => perDoc.map(_(i))),
-          Aggregation.estimateE(labels)), synthTokens, labeled.map(_._2).sum)
+        (AttrPlan(attr, cands, Some(labels), cands.indices.map(c => perDoc.map(_(c))),
+          Aggregation.estimateE(labels)), synthTokens, labeled.map(_(i)._2).sum)
       }
     }
 

@@ -35,13 +35,13 @@ object EvaporateDirect {
   }
 
   /** ClosedIE variant: the schema is given; prompt the LLM to extract each
-    * named attribute from each document (prompt E.2).
+    * named attribute from each document (prompt E.2), one call per row.
     */
   def runClosed(spark: SparkSession, setting: Setting, docs: DataFrame,
                 profile: Profile, seed: Long, attrs: Seq[String]): StructuredView = {
     val lm  = SimLM(profile, setting, seed)
     val out = lakePass(docs, { (id, text) =>
-      val results = attrs.map(a => lm.closedExtract(id, text, a))
+      val results = lm.closedExtract(id, text, attrs)
       OpenExtraction(attrs.zip(results).map { case (a, (v, _)) => LmPair(a, v) }, results.map(_._2).sum)
     })
     StructuredView(TupleSource.load(spark, out.viewRows(_ => true)), attrs.map(Naming.normalize),

@@ -31,9 +31,6 @@ final case class AttrSpec(
 ) {
   require(variants.nonEmpty, s"attribute '$name' needs at least one variant")
   require(coverage > 0 && coverage <= 1.0, s"attribute '$name' coverage out of range")
-
-  /** The variants' readers, in variant order: `DocParser` reads this attribute alone with them. */
-  private[docs] lazy val readers: ExtractorSet = new ExtractorSet(variants.map(_._1.reader))
 }
 
 /** One evaluation setting = one data lake (the paper has 16).

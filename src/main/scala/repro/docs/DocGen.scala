@@ -1,7 +1,6 @@
 package repro.docs
 
 import java.nio.charset.StandardCharsets.ISO_8859_1
-import repro.fn.ExtractorSet
 import repro.util.Rng
 
 /** A rendered document plus its ground truth.
@@ -146,22 +145,15 @@ object DocParser {
 
   final case class ParsedField(attr: String, value: String, offset: Int)
 
-  /** Every attribute of `setting` found in `text`: one run of its readers. */
-  def parse(setting: Setting, text: String): Seq[ParsedField] = read(setting, text).map(_._2)
-
-  /** `parse(setting, text)`, each field with the attribute it was read for. */
-  def read(setting: Setting, text: String): Seq[(AttrSpec, ParsedField)] =
-    fields(setting.attrs, setting.readers.hits(text))
-
-  /** `attr`'s field in `text`, read by its own variants' readers alone. */
-  def parse(attr: AttrSpec, text: String): Option[ParsedField] =
-    fields(Seq(attr), attr.readers.hits(text)).headOption.map(_._2)
-
-  /** `hits` holds each of `attrs`' variant readers' hits, in order. */
-  private def fields(attrs: Seq[AttrSpec],
-                     hits: IndexedSeq[ExtractorSet.Hit]): Seq[(AttrSpec, ParsedField)] =
-    attrs.zip(attrs.scanLeft(0)(_ + _.variants.size)).flatMap { case (a, from) =>
+  /** Every attribute of `setting` found in `text`, in attribute order, each
+    * field with the attribute it was read for: one run of the setting's
+    * readers, whose hits hold each attribute's variants in order.
+    */
+  def read(setting: Setting, text: String): Seq[(AttrSpec, ParsedField)] = {
+    val hits = setting.readers.hits(text)
+    setting.attrs.zip(setting.attrs.scanLeft(0)(_ + _.variants.size)).flatMap { case (a, from) =>
       hits.slice(from, from + a.variants.size).find(_.value.nonEmpty)
         .map(h => a -> ParsedField(a.name, h.value, h.start))
     }
+  }
 }

@@ -123,10 +123,9 @@ object Tables {
       val openTuples = docs.flatMap(d => DomBaselines.openExtract(d, model, labels, Seed))
       val open       = Metrics.pairF1(tuplesDf(spark, openTuples), gold)
 
-      val closedTuples = docs.flatMap(d => test.goldAttrs.flatMap { a =>
-        val v = DomBaselines.closedExtract(d, a, model, labels, Seed)
-        if (v.nonEmpty) Some((d.id, a, v)) else None
-      })
+      val closedTuples = docs.flatMap(d =>
+        test.goldAttrs.zip(DomBaselines.closedExtract(d, test.goldAttrs, model, labels, Seed))
+          .collect { case (a, v) if v.nonEmpty => (d.id, a, v) })
       val closed = Metrics.closedTextF1(spark, tuplesDf(spark, closedTuples), gold)
       Seq(closed, open.f1)
     }

@@ -12,15 +12,16 @@ final case class OpenExtraction(pairs: Seq[LmPair], tokens: Long)
 
 /** Simulated large language model.
   *
-  * The simulation grounds every answer in a *real read* of the document
-  * (`DocParser` — perfect reading comprehension: each field format's
-  * `Style.reader`, run by the same extractor interpreter as the synthesized
-  * functions), then applies the noise processes the paper measures for each
-  * provider (misses that grow with chunk depth, attribute rewording, value
-  * mangling, hallucinated attributes, chat-style refusals). It never reads
-  * the generator's gold map. All calls are deterministic in (seed, docId,
-  * call kind) and return the number of tokens "processed" (prompt + chunk +
-  * generation), which is the paper's cost metric.
+  * The simulation grounds every answer in one *real read* of the document
+  * per extraction call (`DocParser.read` — perfect reading comprehension:
+  * each field format's `Style.reader`, run by the same extractor
+  * interpreter as the synthesized functions), then applies the noise
+  * processes the paper measures for each provider (misses that grow with
+  * chunk depth, attribute rewording, value mangling, hallucinated
+  * attributes, chat-style refusals). It never reads the generator's gold
+  * map. All calls are deterministic in (seed, docId, call kind) and return
+  * the number of tokens "processed" (prompt + chunk + generation), which is
+  * the paper's cost metric.
   *
   * Serializable so extraction calls can run inside Spark tasks: Direct's
   * lake pass calls it per document and sums the token counts per partition.
@@ -133,33 +134,39 @@ final case class SimLM(profile: Profile, setting: Setting, seed: Long) extends S
     "pending", "internal", "standard", "general", "unspecified", "routine",
     "archived", "filed", "processed", "complete")
 
-  /** E.2 — closed extraction of a named attribute; the high-quality LLM
-    * labels Algorithm 1 scores candidate functions against, and the
-    * ClosedIE task itself. The attribute (or its alias) is read through its
-    * variants' readers alone (`DocParser.parse(attr, text)`). Only the
+  /** E.2 — closed extraction of named attributes from one document; the
+    * high-quality LLM labels Algorithm 1 scores candidate functions against,
+    * and the ClosedIE task itself. One `DocParser.read` of the document
+    * answers every name (or alias), none when `attrNames` is empty; each
+    * answer, in `attrNames` order, is the value and the tokens of its own
+    * prompt, with noise keyed by (docId, normalized name). Only the
     * keyword-bearing chunk is charged, which reproduces Table 7's
     * per-attribute cost profile.
     */
-  def closedExtract(docId: String, text: String, attrName: String): (String, Long) = {
-    val chunkTok = math.min(600L, Tokens.count(text))
-    val rng      = Rng(seed).derive("closed", docId, Naming.normalize(attrName))
-    val base     = Prompts.closedTokens + chunkTok
-
-    setting.attrByName(attrName).flatMap(DocParser.parse(_, text)) match {
-      case None => ("", base)
-      case Some(DocParser.ParsedField(_, value, _)) =>
-        if (rng.derive("miss").bool(profile.missClosed)) ("", base)
-        else if (rng.derive("refuse").bool(profile.refusalProb * 0.5))
-          ("I'm not sure, please give me more information.", base + 12L)
-        else {
-          val out =
-            if (rng.derive("vnoise").bool(valueNoiseProb(value) * 0.6))
-              mangleValue(value, rng.derive("mangle"))
-            else value
-          (out, base + Tokens.count(out))
+  def closedExtract(docId: String, text: String, attrNames: Seq[String]): Seq[(String, Long)] =
+    if (attrNames.isEmpty) Nil
+    else {
+      val base   = Prompts.closedTokens + math.min(600L, Tokens.count(text))
+      val fields = DocParser.read(setting, text).map { case (a, f) => a.name -> f.value }.toMap
+      attrNames.map { name =>
+        val rng = Rng(seed).derive("closed", docId, Naming.normalize(name))
+        setting.attrByName(name).flatMap(a => fields.get(a.name))
+          .filterNot(_ => rng.derive("miss").bool(profile.missClosed)) match {
+          case None => ("", base)
+          case Some(_) if rng.derive("refuse").bool(profile.refusalProb * 0.5) =>
+            ("I'm not sure, please give me more information.", base + 12L)
+          case Some(value) =>
+            val out =
+              if (rng.derive("vnoise").bool(valueNoiseProb(value) * 0.6)) mangleValue(value, rng.derive("mangle"))
+              else value
+            (out, base + Tokens.count(out))
         }
+      }
     }
-  }
+
+  /** `closedExtract` of one name; perfbench's probes time it per call. */
+  def closedExtract(docId: String, text: String, attrName: String): (String, Long) =
+    closedExtract(docId, text, Seq(attrName)).head
 
   /** §3.2.1 — re-rank candidate schema attributes: the model keeps names it
     * judges useful. Genuine attributes survive with `keepRealProb`,

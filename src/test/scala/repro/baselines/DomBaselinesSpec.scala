@@ -60,7 +60,7 @@ class DomBaselinesSpec extends AnyFunSuite {
     val model = DomBaselines.DomLM
     val hits = testDocs.flatMap { d =>
       d.gold.get("country").map { g =>
-        DomBaselines.closedExtract(d, "country", model, labels, seed) == g
+        DomBaselines.closedExtract(d, Seq("country"), model, labels, seed) == Seq(g)
       }
     }
     assert(hits.count(identity) > hits.size / 2, s"${hits.count(identity)}/${hits.size}")
@@ -68,7 +68,7 @@ class DomBaselinesSpec extends AnyFunSuite {
 
   test("closedExtract returns empty for out-of-DOM attributes") {
     testDocs.take(5).foreach { d =>
-      assert(DomBaselines.closedExtract(d, "title", DomBaselines.DomLM, labels, seed) == "")
+      assert(DomBaselines.closedExtract(d, Seq("title"), DomBaselines.DomLM, labels, seed) == Seq(""))
     }
   }
 
@@ -88,12 +88,35 @@ class DomBaselinesSpec extends AnyFunSuite {
 
   test("model quality ordering on closed extraction: DOM-LM >= RoBERTa-Base") {
     def score(model: DomBaselines.Model): Int = testDocs.map { d =>
-      d.gold.count { case (a, v) =>
-        DomBaselines.closedExtract(d, a, model, labels, seed) == v
-      }
+      val gold = d.gold.toSeq
+      gold.map(_._2).zip(DomBaselines.closedExtract(d, gold.map(_._1), model, labels, seed))
+        .count { case (v, got) => got == v }
     }.sum
     val domlm = score(DomBaselines.DomLM)
     val base  = score(DomBaselines.RobertaBase)
     assert(domlm >= base, s"domlm=$domlm base=$base")
+  }
+
+  test("closedExtract and resolve equal their per-attribute reference on every SWDE site and model") {
+    val models = Seq(DomBaselines.ZeroShotCeres, DomBaselines.RobertaBase,
+      DomBaselines.RobertaStructural, DomBaselines.DomLM)
+    var found  = 0
+    for (vertical <- Seq(Corpora.movieSites, Corpora.uniSites); site <- vertical) {
+      val trained = DomBaselines.train(vertical.filterNot(_.name == site.name)
+        .flatMap(s => DocGen.corpus(s, 30, seed).map((s, _))))
+      // Gold attributes, one outside the DOM (and repeated on movie sites) and an unknown name.
+      val attrs = site.goldAttrs ++ Seq("title", "no such attribute")
+      for (model <- models; d <- DocGen.corpus(site, 10, seed)) {
+        val labels = if (model == DomBaselines.ZeroShotCeres) DomBaselines.LabelMap(Map.empty) else trained
+        val got    = DomBaselines.closedExtract(d, attrs, model, labels, seed)
+        assert(got == attrs.map(DomReference.closedExtract(d, _, model, labels, seed)),
+          s"${site.name} ${model.name} ${d.id}")
+        found += got.count(_.nonEmpty)
+        for ((label, _) <- DomBaselines.leafPairs(d.text); wording <- Seq(label, label + " extra"))
+          assert(trained.resolve(wording, model) == DomReference.resolve(trained, wording, model),
+            s"${site.name} ${model.name} '$wording'")
+      }
+    }
+    assert(found > 500, s"only $found values found")
   }
 }

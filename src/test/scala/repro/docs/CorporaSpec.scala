@@ -96,7 +96,7 @@ class CorporaSpec extends AnyFunSuite {
   test("every setting renders and parses at least its high-coverage attributes") {
     Corpora.all.foreach { s =>
       val d      = DocGen.render(s, 0, 42L)
-      val parsed = DocParser.parse(s, d.text).map(_.attr).toSet
+      val parsed = DocParser.read(s, d.text).map(_._2.attr).toSet
       assert(parsed == d.gold.keySet, s.name)
       assert(d.gold.nonEmpty, s.name)
     }

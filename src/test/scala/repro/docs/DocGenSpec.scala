@@ -76,7 +76,7 @@ class DocGenSpec extends AnyFunSuite {
   test("every present attribute's rendered form parses back to the gold value") {
     for (setting <- Seq(Corpora.fda, Corpora.enron, Corpora.nba, Corpora.movieSites.head, Corpora.uniSites.head)) {
       DocGen.corpus(setting, 15, seed).foreach { d =>
-        val parsed = DocParser.parse(setting, d.text).map(f => f.attr -> f.value).toMap
+        val parsed = DocParser.read(setting, d.text).map { case (_, f) => f.attr -> f.value }.toMap
         d.gold.foreach { case (attr, value) =>
           assert(parsed.contains(attr), s"${setting.name}: '$attr' not parsed back")
           val norm = (s: String) => s.replaceAll("\\s+", " ").trim
@@ -89,14 +89,16 @@ class DocGenSpec extends AnyFunSuite {
 
   test("parser reports no attributes absent from the document") {
     DocGen.corpus(Corpora.enron, 25, seed).foreach { d =>
-      val parsed = DocParser.parse(Corpora.enron, d.text).map(_.attr).toSet
+      val parsed = DocParser.read(Corpora.enron, d.text).map(_._2.attr).toSet
       assert(parsed == d.gold.keySet)
     }
   }
 
   test("parser offsets point at the field position") {
     for (setting <- Corpora.all; d <- DocGen.corpus(setting, 20, seed)) {
-      val parsed = DocParser.parse(setting, d.text)
+      val read   = DocParser.read(setting, d.text)
+      assert(read.forall { case (a, f) => a.name == f.attr })
+      val parsed = read.map(_._2)
       parsed.foreach(f => assert(f.offset >= 0 && f.offset < d.text.length))
       assert(parsed == StyleReference.parse(setting, d.text), s"${setting.name} ${d.id}")
     }
@@ -113,10 +115,9 @@ class DocGenSpec extends AnyFunSuite {
       val one = new ExtractorSet(Seq(first.reader, second.reader)).hits(text)
       if (one.map(_.value) == Seq("Value One", "Value Two")) {
         assert(one(1).start < one(0).start)
-        val field = DocParser.parse(setting, text).find(_.attr == a.name)
+        val field = DocParser.read(setting, text).map(_._2).find(_.attr == a.name)
         assert(field.contains(DocParser.ParsedField(a.name, "Value One", one(0).start)),
           s"${setting.name}/${a.name}")
-        assert(DocParser.parse(a, text) == field)
         checked += 1
       }
     }

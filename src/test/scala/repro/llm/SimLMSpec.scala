@@ -127,20 +127,25 @@ class SimLMSpec extends AnyFunSuite {
   }
 
   test("closedExtract reads what the variant regexes read: every attribute, an alias, an unknown name") {
-    // Without noise, closedExtract returns its grounded value.
+    // Without noise, closedExtract returns its grounded value. One call per
+    // document answers every gold attribute, an alias, an unknown name and a
+    // repeated name, each at its own position.
     val noiseless = Profile.davinci.copy(missClosed = 0.0, refusalProb = 0.0, valueNoise = 0.0)
     var found     = 0
     for (setting <- Corpora.all; d <- DocGen.corpus(setting, 10, seed)) {
-      val closed = SimLM(noiseless, setting, seed)
-      val alias  = setting.attrs.flatMap(_.aliases).take(1)
-      for (name <- setting.attrs.map(_.name) ++ alias :+ "no such attribute") {
+      val closed  = SimLM(noiseless, setting, seed)
+      val alias   = setting.attrs.flatMap(_.aliases).take(1)
+      val names   = setting.goldAttrs ++ alias ++ Seq("no such attribute", setting.goldAttrs.head)
+      val answers = closed.closedExtract(d.id, d.text, names)
+      val base    = Prompts.closedTokens + math.min(600L, Tokens.count(d.text))
+      assert(answers.size == names.size)
+      for ((name, (v, t)) <- names.zip(answers)) {
         val expected = setting.attrByName(name).flatMap(StyleReference.parse(_, d.text)).map(_.value)
-        val (v, t)   = closed.closedExtract(d.id, d.text, name)
-        val base     = Prompts.closedTokens + math.min(600L, Tokens.count(d.text))
         assert(v == expected.getOrElse(""), s"${setting.name} ${d.id} $name")
         assert(t == base + expected.map(Tokens.count).getOrElse(0L))
         if (v.nonEmpty) found += 1
       }
+      assert(closed.closedExtract(d.id, d.text, Nil).isEmpty)
     }
     assert(found > 1000, "the documents must hold the attributes")
   }
