@@ -42,7 +42,7 @@ object Table7Job extends TableJob("table7", s => Tables.renderTable7(Tables.tabl
 object PromptDiversityJob extends TableJob("prompt-diversity",
   s => Tables.renderDiversity(Tables.promptDiversity(s)))
 
-/** Figure 3 crossover points (analytic, from the metered cost model). */
+/** Figure 3 crossover points (analytic, from `CostModel`'s paper-geometry constants). */
 object CostCurvesJob {
   def main(args: Array[String]): Unit = println(Tables.costCurves())
 }

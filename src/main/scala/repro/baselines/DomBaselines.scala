@@ -1,7 +1,7 @@
 package repro.baselines
 
 import scala.util.matching.Regex
-import repro.docs.{Naming, RenderedDoc, Setting}
+import repro.docs.{Naming, RenderedDoc}
 import repro.util.Rng
 
 /** The Table-2 baseline family: systems that treat web extraction as
@@ -32,7 +32,7 @@ object DomBaselines {
     new Regex("(?s)<th[^>]*>\\s*([^<>]{1,60}?)\\s*</th>\\s*<(td|dd|div|span)[^>]*>(.*?)</\\2>")
   private val FirstLeaf = new Regex(">([^<>]+)<")
 
-  /** (labelText, valueText) pairs for every label/value leaf row.
+  /** A page's leaf rows: (labelText, valueText) pairs for every label/value leaf row.
     *
     * These systems assume an attribute value is a *single leaf node* of the
     * DOM (the paper's explicit critique): for compound values spread across
@@ -100,46 +100,38 @@ object DomBaselines {
     }
   }
 
-  /** Distant supervision (as in [42]): align gold values against leaf rows
-    * of the *training* sites to learn which label wordings carry each
-    * attribute.
+  /** Distant supervision (as in [42]): align gold values against the leaf
+    * rows of pages of the *training* sites to learn which label wordings
+    * carry each attribute.
     */
-  def train(trainingDocs: Seq[(Setting, RenderedDoc)]): LabelMap = {
-    val votes = scala.collection.mutable.Map.empty[(String, String), Int]
-    trainingDocs.foreach { case (_, doc) =>
-      val pairs = leafPairs(doc.text)
-      doc.gold.foreach { case (attr, value) =>
-        pairs.find(_._2 == value).foreach { case (label, _) =>
-          val key = (Naming.normalize(label), attr)
-          votes(key) = votes.getOrElse(key, 0) + 1
-        }
-      }
-    }
+  def train(pages: Seq[(RenderedDoc, Seq[(String, String)])]): LabelMap = {
+    val aligned = for {
+      (doc, pairs)  <- pages
+      (attr, value) <- doc.gold.toSeq
+      (label, _)    <- pairs.find(_._2 == value)
+    } yield (Naming.normalize(label), attr)
     // Majority attribute per label, require ≥2 aligned examples.
-    val byLabel = votes.toSeq
-      .groupBy { case ((label, _), _) => label }
-      .flatMap { case (label, entries) =>
-        val best = entries.maxBy { case ((_, a), c) => (c, a) }
-        if (best._2 >= 2) Some(label -> best._1._2) else None
-      }
-    LabelMap(byLabel.toMap)
+    LabelMap(aligned.groupBy(_._1).flatMap { case (label, votes) =>
+      val (attr, n) = votes.groupMapReduce(_._2)(_ => 1)(_ + _).maxBy { case (a, c) => (c, a) }
+      if (n >= 2) Some(label -> attr) else None
+    })
   }
 
-  /** OpenIE: emit every resolvable leaf row as a tuple. ZeroShotCeres emits
-    * the raw label wording as the attribute name (it has no training to
-    * canonicalize against).
+  /** OpenIE: emit every resolvable leaf row of page `id` as a tuple.
+    * ZeroShotCeres emits the raw label wording as the attribute name (it has
+    * no training to canonicalize against).
     */
-  def openExtract(doc: RenderedDoc, model: Model, labels: LabelMap,
+  def openExtract(id: String, leaves: Seq[(String, String)], model: Model, labels: LabelMap,
                   seed: Long): Seq[(String, String, String)] = {
-    val rng = Rng(seed).derive("dom", doc.id, model.name)
-    leafPairs(doc.text).flatMap { case (label, value) =>
+    val rng = Rng(seed).derive("dom", id, model.name)
+    leaves.flatMap { case (label, value) =>
       val attr = model match {
         case ZeroShotCeres => Some(Naming.normalize(label))
         case m             => labels.resolve(label, m).map(confuse(_, label, m, labels, seed))
       }
       attr.flatMap { a =>
         if (rng.derive("drop", a, value).bool(model.dropProb)) None
-        else Some((doc.id, a, value))
+        else Some((id, a, value))
       }
     }
   }
@@ -158,12 +150,12 @@ object DomBaselines {
     }
   }
 
-  /** ClosedIE: each of `attrs` from one document ("" where none is found),
-    * from one read of its leaf rows, each row's label resolved once.
+  /** ClosedIE: each of `attrs` from page `id`'s leaf rows ("" where none
+    * is found), each row's label resolved once.
     */
-  def closedExtract(doc: RenderedDoc, attrs: Seq[String], model: Model, labels: LabelMap,
-                    seed: Long): Seq[String] = {
-    val leaves: Seq[(String => Boolean, String)] = leafPairs(doc.text).map { case (l, v) =>
+  def closedExtract(id: String, leaves: Seq[(String, String)], attrs: Seq[String], model: Model,
+                    labels: LabelMap, seed: Long): Seq[String] = {
+    val matchers: Seq[(String => Boolean, String)] = leaves.map { case (l, v) =>
       val matches: String => Boolean = model match {
         case ZeroShotCeres =>
           val ln = Naming.normalize(l)
@@ -176,8 +168,8 @@ object DomBaselines {
     }
     attrs.map { attr =>
       val at   = Naming.normalize(attr)
-      val drop = Rng(seed).derive("domc", doc.id, model.name, attr).derive("drop")
-      leaves.collectFirst { case (matches, v) if matches(at) => v }
+      val drop = Rng(seed).derive("domc", id, model.name, attr).derive("drop")
+      matchers.collectFirst { case (matches, v) if matches(at) => v }
         .filterNot(_ => drop.bool(model.dropProb)).getOrElse("")
     }
   }

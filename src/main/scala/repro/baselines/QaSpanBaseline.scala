@@ -33,11 +33,8 @@ object QaSpanBaseline {
     else toks.take(6).mkString(" ")
   }
 
-  /** Extract `attr` from a raw document (TXT or HTML). */
-  def extract(text: String, attr: String): String = extractAll(text, Seq(attr)).head
-
-  /** Extract each of `attrs` from a raw document, in `attrs` order. The
-    * document's lines are split, stripped and tokenized once for all of them.
+  /** Extract each of `attrs` from a raw document (TXT or HTML), in `attrs` order.
+    * The document's lines are split, stripped and tokenized once for all of them.
     */
   def extractAll(text: String, attrs: Seq[String]): Seq[String] = {
     val lines = text.split("\n").toSeq.map(Extractor.stripTags).filter(_.nonEmpty)
@@ -50,11 +47,8 @@ object QaSpanBaseline {
     val query = lineTokens(attr)
     if (query.isEmpty) return ""
 
-    val scored = lines.map { case (plain, lt) =>
-      val overlap = query.intersect(lt).size.toDouble / query.size
-      (plain, overlap)
-    }
-    val best = scored.sortBy(-_._2).headOption.filter(_._2 >= 0.5).map(_._1)
+    val best = lines.map { case (plain, lt) => (plain, query.intersect(lt).size.toDouble / query.size) }
+      .maxByOption(_._2).filter(_._2 >= 0.5).map(_._1)
 
     best match {
       case None => ""

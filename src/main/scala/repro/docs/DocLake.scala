@@ -23,10 +23,13 @@ object DocLake {
       .select(renderId(col("id")) as "doc_id", renderText(col("id")) as "text")
   }
 
-  /** The ground-truth tuples (doc_id, attr, value): `sample`'s gold maps as a local scan. */
+  /** The ground-truth tuples (doc_id, attr, value) of rendered pages: their gold maps as a local scan. */
+  def gold(spark: SparkSession, pages: Seq[RenderedDoc]): DataFrame =
+    StructuredView.tuplesDf(spark, pages.flatMap(d => d.gold.map { case (a, v) => (d.id, a, v) }))
+
+  /** `gold` of `sample(setting, nDocs, seed)`. */
   def gold(spark: SparkSession, setting: Setting, nDocs: Int, seed: Long): DataFrame =
-    StructuredView.tuplesDf(spark, sample(setting, nDocs, seed).flatMap(d =>
-      d.gold.map { case (a, v) => (d.id, a, v) }))
+    gold(spark, sample(setting, nDocs, seed))
 
   /** `task` over each partition's `(doc_id, text)` rows of a lake, in one
     * Spark job; its results in partition order. The rows are read as

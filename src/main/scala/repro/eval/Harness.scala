@@ -3,7 +3,7 @@ package repro.eval
 import scala.collection.mutable
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.docs.{DocGen, DocLake, Setting}
+import repro.docs.{DocGen, DocLake, RenderedDoc, Setting}
 
 /** What the paper tables, the jobs, the tests and the benchmark share: the one
   * SparkSession factory, the memoised synthetic lakes, the 10-document
@@ -24,21 +24,32 @@ object Harness {
       .config("spark.ui.enabled", "false")
       .getOrCreate()
 
-  private val lakes = mutable.Map.empty[(String, Int, Long), (DataFrame, DataFrame)]
+  private val lakes = mutable.Map.empty[(String, Int, Long), (DataFrame, DataFrame, Seq[RenderedDoc])]
 
-  /** Documents + gold tuples for a setting, built once per
+  /** Documents, gold tuples and pages of a setting, built once per
     * `(setting, nDocs, seed)` in a JVM: every table and test reuses them.
-    * The documents are cached; gold is a local scan (`DocLake.gold`), so
-    * reading it, whole or through `restrict`, starts no Spark job.
+    * The documents are cached; the pages are rendered once on the driver, and
+    * gold is a local scan of theirs (`DocLake.gold`), so reading it, whole or
+    * through `restrict`, starts no Spark job.
     */
-  def lake(spark: SparkSession, setting: Setting, nDocs: Int, seed: Long): (DataFrame, DataFrame) =
+  private def cached(spark: SparkSession, setting: Setting, nDocs: Int,
+                     seed: Long): (DataFrame, DataFrame, Seq[RenderedDoc]) =
     synchronized {
       lakes.getOrElseUpdate((setting.name, nDocs, seed), {
         val docs = DocLake.documents(spark, setting, nDocs, seed).cache()
         docs.count()
-        (docs, DocLake.gold(spark, setting, nDocs, seed))
+        val pages = DocGen.corpus(setting, nDocs, seed)
+        (docs, DocLake.gold(spark, pages), pages)
       })
     }
+
+  /** A memoised lake's documents and gold. */
+  def lake(spark: SparkSession, setting: Setting, nDocs: Int, seed: Long): (DataFrame, DataFrame) =
+    cached(spark, setting, nDocs, seed) match { case (docs, gold, _) => (docs, gold) }
+
+  /** A memoised lake's pages, in index order: what the tables' baselines read. */
+  def pages(spark: SparkSession, setting: Setting, nDocs: Int, seed: Long): Seq[RenderedDoc] =
+    cached(spark, setting, nDocs, seed)._3
 
   /** The paper evaluates Direct on a 10-document sample for cost reasons
     * and reports Code+ on the same sample (Table 3 caption). These helpers

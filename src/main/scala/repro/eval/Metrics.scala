@@ -30,20 +30,13 @@ object Metrics {
       .filter(t => t.nonEmpty && t != "a" && t != "an" && t != "the")
       .toSeq
 
-  /** (token overlap, |pred tokens|, |gold tokens|) after normalization; a
-    * gold token is matched at most once.
+  /** (token overlap, |pred tokens|, |gold tokens|) after normalization: the
+    * overlap is the multiset intersection, a gold token matched at most once.
     */
   private def tokenCounts(pred: String, gold: String): (Int, Int, Int) = {
     val p = normalizeAnswer(Option(pred).getOrElse(""))
     val g = normalizeAnswer(Option(gold).getOrElse(""))
-    val gCounts = g.groupBy(identity).view.mapValues(_.size).toMap
-    var overlap = 0
-    val seen    = scala.collection.mutable.Map.empty[String, Int]
-    p.foreach { t =>
-      val used = seen.getOrElse(t, 0)
-      if (used < gCounts.getOrElse(t, 0)) { overlap += 1; seen(t) = used + 1 }
-    }
-    (overlap, p.size, g.size)
+    (p.intersect(g).size, p.size, g.size)
   }
 
   /** Token-level F1 between a prediction and a gold answer. Empty-vs-empty

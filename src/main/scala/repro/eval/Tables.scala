@@ -3,7 +3,7 @@ package repro.eval
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{CodeConfig, EvaporateCode, EvaporateDirect, StructuredView}
 import repro.baselines.{DomBaselines, QaSpanBaseline}
-import repro.docs.{Corpora, DocGen, Setting}
+import repro.docs.{Corpora, RenderedDoc, Setting}
 import repro.fn.Synthesizer
 import repro.llm.Profile
 import repro.util.CostModel
@@ -30,6 +30,7 @@ object Tables {
   private def lake(spark: SparkSession, setting: Setting, n: Int = LakeDocs): (DataFrame, DataFrame) =
     Harness.lake(spark, setting, n, Seed)
 
+  /** `StructuredView.tuplesDf`, kept only as the benchmark's alias. */
   def tuplesDf(spark: SparkSession, tuples: Seq[(String, String, String)]): DataFrame =
     StructuredView.tuplesDf(spark, tuples)
 
@@ -111,22 +112,24 @@ object Tables {
                          uniClosed: Double, uniOpen: Double)
 
   /** Per-site (closed Text F1, open Pair F1) of a DOM baseline that reads a
-    * held-out site with the label map `labelsOf(site)`.
+    * held-out site's pages in `leaves` with the label map `labelsOf(site)`.
     */
   private def domScores(spark: SparkSession, sites: Seq[Setting], model: DomBaselines.Model,
+                        leaves: Map[String, Seq[(RenderedDoc, Seq[(String, String)])]],
                         labelsOf: Setting => DomBaselines.LabelMap): Seq[Seq[Double]] =
     sites.map { test =>
       val labels    = labelsOf(test)
-      val docs      = DocGen.corpus(test, SiteDocs, Seed)
+      val read      = leaves(test.name)
       val (_, gold) = lake(spark, test, SiteDocs)
 
-      val openTuples = docs.flatMap(d => DomBaselines.openExtract(d, model, labels, Seed))
-      val open       = Metrics.pairF1(tuplesDf(spark, openTuples), gold)
+      val openTuples = read.flatMap { case (d, l) => DomBaselines.openExtract(d.id, l, model, labels, Seed) }
+      val open       = Metrics.pairF1(StructuredView.tuplesDf(spark, openTuples), gold)
 
-      val closedTuples = docs.flatMap(d =>
-        test.goldAttrs.zip(DomBaselines.closedExtract(d, test.goldAttrs, model, labels, Seed))
-          .collect { case (a, v) if v.nonEmpty => (d.id, a, v) })
-      val closed = Metrics.closedTextF1(spark, tuplesDf(spark, closedTuples), gold)
+      val closedTuples = read.flatMap { case (d, l) =>
+        test.goldAttrs.zip(DomBaselines.closedExtract(d.id, l, test.goldAttrs, model, labels, Seed))
+          .collect { case (a, v) if v.nonEmpty => (d.id, a, v) }
+      }
+      val closed = Metrics.closedTextF1(spark, StructuredView.tuplesDf(spark, closedTuples), gold)
       Seq(closed, open.f1)
     }
 
@@ -150,15 +153,18 @@ object Tables {
       val Seq(uc, uo) = means(scores(Corpora.uniSites))
       T2Row(system, pct(mc), pct(mo), pct(uc), pct(uo))
     }
-    // Each site's label map, trained once on the other sites of its vertical:
+    // Each SWDE page with its leaf rows, read once for training and both tasks of all four baselines.
+    val leaves = (Corpora.movieSites ++ Corpora.uniSites).map(s => s.name ->
+      Harness.pages(spark, s, SiteDocs, Seed).map(d => (d, DomBaselines.leafPairs(d.text)))).toMap
+    // Each site's label map, trained once on the other sites' first pages:
     // `train` does not read the model, so the three trained baselines share it.
     val trained = Seq(Corpora.movieSites, Corpora.uniSites).flatMap(sites => sites.map(test =>
       test.name -> DomBaselines.train(sites.filterNot(_.name == test.name)
-        .flatMap(s => DocGen.corpus(s, TrainDocs, Seed).map((s, _)))))).toMap
+        .flatMap(s => leaves(s.name).take(TrainDocs))))).toMap
     val baselineRows = Seq(
       DomBaselines.ZeroShotCeres, DomBaselines.RobertaBase,
       DomBaselines.RobertaStructural, DomBaselines.DomLM).map { m =>
-      row(m.name, domScores(spark, _, m, s =>
+      row(m.name, domScores(spark, _, m, leaves, s =>
         if (m == DomBaselines.ZeroShotCeres) DomBaselines.LabelMap(Map.empty) else trained(s.name)))
     }
     def direct(s: Setting, docs: DataFrame, attrs: Option[Seq[String]]): StructuredView = attrs match {
@@ -304,12 +310,12 @@ object Tables {
   /** QA span-extractor ClosedIE baseline (DeBERTaV3-SQuAD2-like). */
   def table6(spark: SparkSession): Seq[T6Row] =
     groupMeans(Corpora.all.map { s =>
-      val docs      = DocGen.corpus(s, LakeDocs, Seed)
+      val docs      = Harness.pages(spark, s, LakeDocs, Seed)
       val (_, gold) = lake(spark, s)
       val tuples = docs.flatMap(d => s.goldAttrs.zip(QaSpanBaseline.extractAll(d.text, s.goldAttrs)).collect {
         case (a, v) if v.nonEmpty => (d.id, a, v)
       })
-      s -> Seq(s.goldAttrs.size.toDouble, Metrics.closedTextF1(spark, tuplesDf(spark, tuples), gold))
+      s -> Seq(s.goldAttrs.size.toDouble, Metrics.closedTextF1(spark, StructuredView.tuplesDf(spark, tuples), gold))
     }).map { case (g, Seq(k, c)) => T6Row(g, k, pct(c)) }
 
   def renderTable6(rows: Seq[T6Row]): String =

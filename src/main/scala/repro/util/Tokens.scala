@@ -5,9 +5,9 @@ package repro.util
   * The paper's cost metric is "total number of tokens processed by the LLM"
   * (prompt + generation). We approximate a BPE tokenizer with the standard
   * ~4-characters-per-token heuristic, which is monotone in text length and
-  * deterministic — the *ratios* between systems (the quantity Table 3 and
-  * Figure 3 report) are preserved exactly because every code path is metered
-  * with the same rule.
+  * deterministic — the *ratios* between systems that Tables 3 and 7 report
+  * are preserved because every LLM call is metered with the same rule.
+  * Figure 3 is analytic, from `CostModel`'s paper-geometry constants.
   */
 object Tokens {
 

@@ -1,16 +1,26 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.docs.{Corpora, DocGen}
+import repro.docs.{Corpora, DocGen, RenderedDoc}
 
 class DomBaselinesSpec extends AnyFunSuite {
 
   private val seed  = 42L
   private val sites = Corpora.movieSites
   private val testSite = sites.head
+  private val models = Seq(DomBaselines.ZeroShotCeres, DomBaselines.RobertaBase,
+    DomBaselines.RobertaStructural, DomBaselines.DomLM)
+
+  /** Each page with its leaf rows, read once. */
+  private def read(docs: Seq[RenderedDoc]): Seq[(RenderedDoc, Seq[(String, String)])] =
+    docs.map(d => (d, DomBaselines.leafPairs(d.text)))
+
   private lazy val labels = DomBaselines.train(
-    sites.tail.flatMap(s => DocGen.corpus(s, 30, seed).map((s, _))))
+    sites.tail.flatMap(s => read(DocGen.corpus(s, 30, seed))))
   private lazy val testDocs = DocGen.corpus(testSite, 20, seed)
+
+  private def closed(d: RenderedDoc, attrs: Seq[String], model: DomBaselines.Model): Seq[String] =
+    DomBaselines.closedExtract(d.id, DomBaselines.leafPairs(d.text), attrs, model, labels, seed)
 
   test("leafPairs extracts label/value rows from rendered HTML") {
     val d     = testDocs.head
@@ -37,10 +47,9 @@ class DomBaselinesSpec extends AnyFunSuite {
   }
 
   test("training requires at least two aligned examples per label") {
-    val tiny = DomBaselines.train(Seq((sites(1), DocGen.corpus(sites(1), 1, seed).head)))
+    val tiny = DomBaselines.train(read(DocGen.corpus(sites(1), 1, seed)))
     // One document cannot produce >=2 votes for most labels.
-    assert(tiny.byLabel.size <= DomBaselines.train(
-      sites.tail.flatMap(s => DocGen.corpus(s, 30, seed).map((s, _)))).byLabel.size)
+    assert(tiny.byLabel.size <= labels.byLabel.size)
   }
 
   test("matching power ordering: Base <= Structural <= DOM-LM on resolve") {
@@ -60,7 +69,7 @@ class DomBaselinesSpec extends AnyFunSuite {
     val model = DomBaselines.DomLM
     val hits = testDocs.flatMap { d =>
       d.gold.get("country").map { g =>
-        DomBaselines.closedExtract(d, Seq("country"), model, labels, seed) == Seq(g)
+        closed(d, Seq("country"), model) == Seq(g)
       }
     }
     assert(hits.count(identity) > hits.size / 2, s"${hits.count(identity)}/${hits.size}")
@@ -68,12 +77,13 @@ class DomBaselinesSpec extends AnyFunSuite {
 
   test("closedExtract returns empty for out-of-DOM attributes") {
     testDocs.take(5).foreach { d =>
-      assert(DomBaselines.closedExtract(d, Seq("title"), DomBaselines.DomLM, labels, seed) == Seq(""))
+      assert(closed(d, Seq("title"), DomBaselines.DomLM) == Seq(""))
     }
   }
 
   test("openExtract emits (doc, attr, value) tuples grounded in the page") {
-    val tuples = DomBaselines.openExtract(testDocs.head, DomBaselines.DomLM, labels, seed)
+    val d      = testDocs.head
+    val tuples = DomBaselines.openExtract(d.id, DomBaselines.leafPairs(d.text), DomBaselines.DomLM, labels, seed)
     tuples.foreach { case (id, attr, value) =>
       assert(id == testDocs.head.id)
       assert(attr.nonEmpty && value.nonEmpty)
@@ -81,7 +91,8 @@ class DomBaselinesSpec extends AnyFunSuite {
   }
 
   test("zero-shot Ceres uses raw label wordings as attribute names") {
-    val tuples = DomBaselines.openExtract(testDocs.head, DomBaselines.ZeroShotCeres,
+    val d      = testDocs.head
+    val tuples = DomBaselines.openExtract(d.id, DomBaselines.leafPairs(d.text), DomBaselines.ZeroShotCeres,
       DomBaselines.LabelMap(Map.empty), seed)
     assert(tuples.nonEmpty)
   }
@@ -89,7 +100,7 @@ class DomBaselinesSpec extends AnyFunSuite {
   test("model quality ordering on closed extraction: DOM-LM >= RoBERTa-Base") {
     def score(model: DomBaselines.Model): Int = testDocs.map { d =>
       val gold = d.gold.toSeq
-      gold.map(_._2).zip(DomBaselines.closedExtract(d, gold.map(_._1), model, labels, seed))
+      gold.map(_._2).zip(closed(d, gold.map(_._1), model))
         .count { case (v, got) => got == v }
     }.sum
     val domlm = score(DomBaselines.DomLM)
@@ -98,17 +109,15 @@ class DomBaselinesSpec extends AnyFunSuite {
   }
 
   test("closedExtract and resolve equal their per-attribute reference on every SWDE site and model") {
-    val models = Seq(DomBaselines.ZeroShotCeres, DomBaselines.RobertaBase,
-      DomBaselines.RobertaStructural, DomBaselines.DomLM)
     var found  = 0
     for (vertical <- Seq(Corpora.movieSites, Corpora.uniSites); site <- vertical) {
       val trained = DomBaselines.train(vertical.filterNot(_.name == site.name)
-        .flatMap(s => DocGen.corpus(s, 30, seed).map((s, _))))
+        .flatMap(s => read(DocGen.corpus(s, 30, seed))))
       // Gold attributes, one outside the DOM (and repeated on movie sites) and an unknown name.
       val attrs = site.goldAttrs ++ Seq("title", "no such attribute")
       for (model <- models; d <- DocGen.corpus(site, 10, seed)) {
         val labels = if (model == DomBaselines.ZeroShotCeres) DomBaselines.LabelMap(Map.empty) else trained
-        val got    = DomBaselines.closedExtract(d, attrs, model, labels, seed)
+        val got    = DomBaselines.closedExtract(d.id, DomBaselines.leafPairs(d.text), attrs, model, labels, seed)
         assert(got == attrs.map(DomReference.closedExtract(d, _, model, labels, seed)),
           s"${site.name} ${model.name} ${d.id}")
         found += got.count(_.nonEmpty)
@@ -118,5 +127,24 @@ class DomBaselinesSpec extends AnyFunSuite {
       }
     }
     assert(found > 500, s"only $found values found")
+  }
+
+  test("openExtract, closedExtract and train over leaf rows read once equal their doc-reading references") {
+    var opened = 0
+    for (vertical <- Seq(Corpora.movieSites, Corpora.uniSites); site <- vertical) {
+      val training = vertical.filterNot(_.name == site.name).flatMap(s => DocGen.corpus(s, 30, seed))
+      val trained  = DomBaselines.train(read(training))
+      assert(trained.byLabel.toSeq == DomReference.train(training).byLabel.toSeq, site.name)
+      for (model <- models; (d, leaves) <- read(DocGen.corpus(site, 10, seed))) {
+        val labels = if (model == DomBaselines.ZeroShotCeres) DomBaselines.LabelMap(Map.empty) else trained
+        val clue   = s"${site.name} ${model.name} ${d.id}"
+        val open   = DomBaselines.openExtract(d.id, leaves, model, labels, seed)
+        assert(open == DomReference.openExtract(d, model, labels, seed), clue)
+        assert(DomBaselines.closedExtract(d.id, leaves, site.goldAttrs, model, labels, seed) ==
+          site.goldAttrs.map(DomReference.closedExtract(d, _, model, labels, seed)), clue)
+        opened += open.size
+      }
+    }
+    assert(opened > 500, s"only $opened open tuples")
   }
 }

@@ -3,11 +3,12 @@ package repro.eval
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.core.{EvaporateCode, EvaporateDirect}
-import repro.docs.Corpora
+import repro.docs.{Corpora, DocGen, DocLake}
 import repro.llm.Profile
 
-/** A Harness lake's gold is read without a Spark job, so a paper cell runs
-  * only its system's own job.
+/** A Harness lake is built once: its pages are the driver render the gold
+  * comes from, and its gold is read without a Spark job, so a paper cell
+  * runs only its system's own job.
   */
 class HarnessSpec extends SparkSpec {
 
@@ -59,5 +60,17 @@ class HarnessSpec extends SparkSpec {
     }
     assert(jobs == 1)
     assert(f1 > 0.0)
+  }
+
+  test("a Harness lake's pages are memoised with it and are the driver's render") {
+    val pages = Harness.pages(spark, setting, 40, seed)
+    assert(Harness.pages(spark, setting, 40, seed) eq pages)
+    assert(pages == DocGen.corpus(setting, 40, seed))
+  }
+
+  test("a Harness lake's gold has the rows of DocLake.gold") {
+    val (_, gold) = lake()
+    def rows(df: DataFrame) = df.collect().toSeq.map(r => (r.getString(0), r.getString(1), r.getString(2)))
+    assert(rows(gold) == rows(DocLake.gold(spark, setting, 40, seed)))
   }
 }

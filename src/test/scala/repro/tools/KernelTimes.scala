@@ -1,6 +1,7 @@
 package repro.tools
 
 import scala.collection.mutable.ArrayBuffer
+import repro.baselines.DomBaselines
 import repro.core.EvaporateCode
 import repro.docs.{Corpora, DocGen, DocParser}
 import repro.fn.ExtractorSet
@@ -14,7 +15,8 @@ import repro.ws.Aggregation
   * it: davinci, seed 42, k = the setting's gold attributes), and the
   * simulated LLM of Evaporate-Direct (davinci, seed 42): `SimLM.openExtract`
   * (open) and `SimLM.closedExtract` of every gold attribute in one call per
-  * document, as `EvaporateDirect.runClosed` calls it (closed).
+  * document, as `EvaporateDirect.runClosed` calls it (closed), and the DOM
+  * baselines' one read of a page, `DomBaselines.leafPairs` (leaf).
   *
   * Each figure is the median of 9 timed runs over the same 1,000 documents,
   * in one JVM and one thread, in µs per document. Every kernel of every
@@ -68,18 +70,19 @@ object KernelTimes {
         () => texts.map(t => DocParser.read(s, t).size.toLong).sum,
         () => texts.map(t => set.extract(t).size.toLong).sum,
         () => docs.map(d => lm.openExtract(d.id, d.text).tokens).sum,
-        () => docs.map(d => lm.closedExtract(d.id, d.text, s.goldAttrs).map(_._2).sum).sum)
+        () => docs.map(d => lm.closedExtract(d.id, d.text, s.goldAttrs).map(_._2).sum).sum,
+        () => texts.map(t => DomBaselines.leafPairs(t).size.toLong).sum)
       (s, kernels, kept.size)
     }
     rows.foreach(_._2.foreach(warmUp))
     val runs = Seq.fill(Runs)(rows.map(_._2.map(usPerDoc)))
 
     println(f"${"setting"}%-34s ${"render"}%9s ${"parse"}%9s ${"kept set"}%9s ${"fns"}%4s " +
-      f"${"open"}%9s ${"closed"}%9s  (us per document)")
+      f"${"open"}%9s ${"closed"}%9s ${"leaf"}%9s  (us per document)")
     for (((s, _, fns), i) <- rows.zipWithIndex) {
-      val Seq(render, parse, keptUs, open, closed) =
-        (0 until 5).map(k => runs.map(_(i)(k)).sorted.apply(Runs / 2))
-      println(f"${s.name}%-34s $render%9.1f $parse%9.1f $keptUs%9.1f $fns%4d $open%9.1f $closed%9.1f")
+      val Seq(render, parse, keptUs, open, closed, leaf) =
+        (0 until 6).map(k => runs.map(_(i)(k)).sorted.apply(Runs / 2))
+      println(f"${s.name}%-34s $render%9.1f $parse%9.1f $keptUs%9.1f $fns%4d $open%9.1f $closed%9.1f $leaf%9.1f")
     }
     if (sink == 42L) println() // reads the sink
   }
